@@ -11,7 +11,7 @@ on a comparable scale before they compete in open-set search.
 
 import numpy as np
 
-from bilin.svm import score, train_ovr_svm
+from bilin.svm import train_ovr_svm
 
 rng = np.random.default_rng(3)
 
@@ -24,20 +24,18 @@ gallery = train_ovr_svm(X, labels)
 print("models:", gallery.identity_ids)
 
 # Median rescaling: each model's own media score around +1, the rest
-# around -1.
-for model in gallery.models:
-    own = [score(model, x) for x, l in zip(X, labels)
-           if l == model.identity_id]
-    rest = [score(model, x) for x, l in zip(X, labels)
-            if l != model.identity_id]
-    print(f"{model.identity_id:>6}: median own {np.median(own):+.3f}, "
-          f"median rest {np.median(rest):+.3f}")
+# around -1.  Scoring the whole stack gives one column per identity.
+scores = gallery.score_vector(X)
+for j, identity in enumerate(gallery.identity_ids):
+    own = np.array(labels) == identity
+    print(f"{identity:>6}: median own {np.median(scores[own, j]):+.3f}, "
+          f"median rest {np.median(scores[~own, j]):+.3f}")
 
-# A probe near ines's cluster scores highest against her model; an
-# outlier probe scores below every enrolled identity, the signature of
-# an impostor.
+# A probe near ines's cluster scores highest against that identity's
+# model; an outlier probe scores below every enrolled identity, the
+# signature of an impostor.
 for probe in (np.array([2.8, 0.3]), np.array([8.0, -8.0])):
     scores = gallery.score_vector(probe)
-    best = max(scores, key=scores.get)
+    best = gallery.identity_ids[int(np.argmax(scores))]
     print(f"probe {probe}: best {best!r}, scores "
-          + ", ".join(f"{k}={v:+.2f}" for k, v in sorted(scores.items())))
+          + ", ".join(f"{k}={v:+.2f}" for k, v in zip(gallery.identity_ids, scores)))

@@ -44,7 +44,7 @@ from .io import (
     save_feature_map,
     save_gallery,
 )
-from .svm import GalleryModelSet, LinearModel, rescale_model, score, train_ovr_svm
+from .svm import GalleryModelSet, LinearModel, rescale_model, train_ovr_svm
 from .protocol import Split, SynthConfig, read_metadata, synth_generate, validate_split
 from .evaluate import (
     CmcCurve,

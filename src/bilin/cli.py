@@ -310,8 +310,7 @@ def cmd_train_gallery(args):
     settings = Settings(args)
     reg_c = settings.get("reg-c", 1.0, float)
     epochs = settings.get("epochs", 100, int)
-    threads = settings.get("threads", 1, int)
-    seed = settings.seed()
+    settings.seed()  # recorded in run_config.txt; the solver is deterministic
     balanced = bool(args.balanced)
     settings.resolved.update(balanced=balanced, data=args.data,
                              descriptors=args.descriptors, out=args.out)
@@ -331,13 +330,12 @@ def cmd_train_gallery(args):
                 labels.append(template.subject_id)
         table = _load_descriptors_for(media, args.descriptors, "gallery")
         X = np.stack([table[m.media_id] for m in media])
-        gallery = train_ovr_svm(
-            X, labels, reg_c=reg_c, epochs=epochs, seed=seed,
-            balanced=balanced, workers=threads,
-        )
+        del table  # X holds the only copy training needs
+        gallery = train_ovr_svm(X, labels, reg_c=reg_c, epochs=epochs,
+                                balanced=balanced)
         path = out_dir / f"gallery_s{index:02d}.bgm"
         save_gallery(path, gallery)
-        print(f"train-gallery: split {index}: {len(gallery.models)} models -> {path}")
+        print(f"train-gallery: split {index}: {len(gallery.identity_ids)} models -> {path}")
     write_run_config(out_dir, "train-gallery", settings.resolved)
     return 0
 
@@ -373,6 +371,10 @@ def cmd_eval(args):
         gallery = load_gallery(model_path)
         probe_media = [m for t in split.probe for m in t.media]
         table = _load_descriptors_for(probe_media, args.descriptors, "probe")
+        dims = {d.shape[0] for d in table.values()} - {gallery.descriptor_dim}
+        if dims:
+            raise ConfigError(f"split {index}: probe descriptor dim {sorted(dims)} "
+                              f"!= gallery dim {gallery.descriptor_dim} of {model_path}")
         _, cmc, det, summary = evaluate.evaluate_split(
             split, gallery, table, strategy=pooling, max_rank=max_rank,
             rank1_conditioned=rank1_conditioned,
@@ -497,7 +499,6 @@ def build_parser():
     p.add_argument("--reg-c", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--balanced", action="store_true")
-    p.add_argument("--threads", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train_gallery)
 

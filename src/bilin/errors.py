@@ -26,6 +26,10 @@ class BoundsError(FormatError):
     """Declared dimensions exceed the format's limits."""
 
 
+class ModelValueError(FormatError):
+    """Gallery model values are non-finite, or a rescale_a is not positive."""
+
+
 class MetadataError(ValueError):
     """Dataset metadata violates the split schema."""
 

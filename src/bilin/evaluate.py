@@ -44,14 +44,11 @@ def pool_features(descriptors):
 
 
 def pool_scores(per_media_scores):
-    """Per-identity maximum across media score maps (same key sets)."""
-    if not per_media_scores:
+    """Per-identity maximum over a (media, identities) score stack."""
+    scores = np.asarray(per_media_scores)
+    if not len(scores):
         raise ProtocolError("cannot pool an empty score list")
-    keys = set(per_media_scores[0])
-    for m in per_media_scores[1:]:
-        if set(m) != keys:
-            raise ProtocolError("score maps disagree on gallery identities")
-    return {k: max(m[k] for m in per_media_scores) for k in keys}
+    return scores.max(axis=0)
 
 
 @dataclass
@@ -77,10 +74,6 @@ class ProbeResult:
         return max(self.scores.values())
 
 
-def _rank(scores):
-    return sorted(scores, key=lambda k: (-scores[k], k))
-
-
 def identify(template, descriptors, gallery, strategy="score"):
     """Score one probe template against every gallery identity.
 
@@ -95,7 +88,7 @@ def identify(template, descriptors, gallery, strategy="score"):
     Ties in the ranking are broken by ascending identity id, so results
     are deterministic across platforms.
     """
-    if not gallery.models:
+    if not gallery.identity_ids:
         raise ProtocolError("gallery model set is empty")
     if len(descriptors) != len(template.media):
         raise ProtocolError(
@@ -103,16 +96,20 @@ def identify(template, descriptors, gallery, strategy="score"):
             f"media but {len(descriptors)} descriptors"
         )
     if strategy == "score":
+        # one row per medium: stacking the descriptors would copy them
         scores = pool_scores([gallery.score_vector(d) for d in descriptors])
     elif strategy == "feature":
         scores = gallery.score_vector(pool_features(descriptors))
     else:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
+    ids = gallery.identity_ids
+    # ids ascend, so a stable sort breaks score ties by ascending id
+    order = np.argsort(-scores, kind="stable")
     return ProbeResult(
         template_id=template.template_id,
         subject_id=template.subject_id,
-        scores=scores,
-        ranked=_rank(scores),
+        scores=dict(zip(ids, scores.tolist())),
+        ranked=[ids[i] for i in order],
     )
 
 
@@ -166,7 +163,6 @@ def compute_det(results, thresholds=None, rank1_conditioned=False):
     if impostor_best.size == 0 or not mated:
         raise ProtocolError("DET needs at least one impostor and one mated probe")
     true_scores = np.array([r.scores[r.subject_id] for r in mated])
-    missed_rank1 = np.array([r.rank_of_true() > 1 for r in mated])
 
     if thresholds is None:
         grid = np.unique(np.concatenate([
@@ -175,15 +171,18 @@ def compute_det(results, thresholds=None, rank1_conditioned=False):
     else:
         grid = np.asarray(sorted(thresholds), dtype=np.float64)
 
-    fpir = np.array([np.mean(impostor_best >= t) for t in grid])
-    below = true_scores[:, None] < grid[None, :]
+    # searchsorted on sorted scores counts the scores below each threshold
+    false_alarms = impostor_best.size - np.searchsorted(np.sort(impostor_best), grid)
+    counted, missed = true_scores, 0
     if rank1_conditioned:
-        below = below | missed_rank1[:, None]
-    fnir = below.mean(axis=0)
+        # a true identity outranked by another is a miss at every threshold
+        first = np.array([r.ranked[0] == r.subject_id for r in mated])
+        counted, missed = true_scores[first], int((~first).sum())
+    misses = missed + np.searchsorted(np.sort(counted), grid)
     return DetCurve(
         thresholds=grid,
-        fpir=fpir,
-        fnir=fnir,
+        fpir=false_alarms / impostor_best.size,
+        fnir=misses / len(mated),
         impostor_count=int(impostor_best.size),
         mated_count=len(mated),
     )

@@ -143,8 +143,6 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     counts = np.bincount(labels, minlength=n_classes)
     if np.any(counts == 0):
         raise DataError(f"classes without samples: {np.where(counts == 0)[0].tolist()}")
-    if val_patches is None:
-        val_patches, val_labels = patches, labels
 
     extractor = extractor.copy()
     head = head.copy()
@@ -195,12 +193,13 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
             extractor.kernel -= lr_lower * scale * g_kernel
             extractor.bias -= lr_lower * scale * g_bias
 
-        epoch_loss, _ = mean_loss_and_error(patches, labels, extractor, head)
+        epoch_loss, val_err = mean_loss_and_error(patches, labels, extractor, head)
         if not np.isfinite(epoch_loss):
             raise DivergenceError("non-finite training loss", trace)
         trace.append(epoch_loss)
 
-        _, val_err = mean_loss_and_error(val_patches, val_labels, extractor, head)
+        if val_patches is not None:
+            _, val_err = mean_loss_and_error(val_patches, val_labels, extractor, head)
         if val_err < best_val_err - MIN_IMPROVEMENT:
             best_val_err = val_err
             stall = 0

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, CorruptFileError, FormatError, NumericError
-from .svm import GalleryModelSet, LinearModel
+from .errors import BoundsError, CorruptFileError, FormatError, ModelValueError, NumericError
+from .svm import GalleryModelSet
 
 BFM_MAGIC = b"BFM1"
 BGM_MAGIC = b"BGM1"
@@ -112,26 +112,24 @@ def load_feature_map(path):
 
 
 def save_gallery(path, gallery):
-    dim = gallery.descriptor_dim
+    w = np.ascontiguousarray(gallery.w, dtype="<f4")
+    tail = np.stack([gallery.b, gallery.rescale_a, gallery.rescale_b],
+                    axis=1).astype("<f4")
     with open(path, "wb") as f:
         f.write(BGM_MAGIC)
-        f.write(struct.pack("<II", len(gallery.models), dim))
-        for m in gallery.models:
-            raw = m.identity_id.encode("utf-8")
+        f.write(struct.pack("<II", len(gallery.identity_ids), gallery.descriptor_dim))
+        for identity_id, w_row, tail_row in zip(gallery.identity_ids, w, tail):
+            raw = identity_id.encode("utf-8")
             if len(raw) > 0xFFFF:
-                raise FormatError(f"identity id too long: {m.identity_id!r}")
-            w = np.ascontiguousarray(m.w, dtype=np.float32)
-            if w.shape != (dim,):
-                raise FormatError(
-                    f"model {m.identity_id!r} has dim {w.shape}, expected ({dim},)"
-                )
+                raise FormatError(f"identity id too long: {identity_id!r}")
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
-            f.write(w.tobytes())
-            f.write(struct.pack("<fff", m.b, m.rescale_a, m.rescale_b))
+            f.write(w_row.tobytes())
+            f.write(tail_row.tobytes())
 
 
 def load_gallery(path):
+    """Read a .bgm file; its values must be finite with rescale_a > 0."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 12:
@@ -141,26 +139,33 @@ def load_gallery(path):
     count, dim = struct.unpack_from("<II", data, 4)
     if dim < 1:
         raise BoundsError(f"{path}: non-positive descriptor dim")
+    record = 4 * dim + 12  # w, b, rescale_a, rescale_b
+    if count * (2 + record) > len(data) - 12:
+        raise CorruptFileError(f"{path}: truncated model record")
+    ids = []
+    w = np.empty((count, dim), dtype=np.float32)
+    tail = np.empty((count, 3), dtype=np.float32)
     offset = 12
-    models = []
-    for _ in range(count):
+    for j in range(count):
         if offset + 2 > len(data):
             raise CorruptFileError(f"{path}: truncated model record")
         (id_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        end = offset + id_len + 4 * dim + 12
-        if end > len(data):
+        if offset + id_len + record > len(data):
             raise CorruptFileError(f"{path}: truncated model record")
-        identity_id = data[offset : offset + id_len].decode("utf-8")
+        ids.append(data[offset : offset + id_len].decode("utf-8"))
         offset += id_len
-        w = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
-        offset += 4 * dim
-        b, rescale_a, rescale_b = struct.unpack_from("<fff", data, offset)
-        offset += 12
-        models.append(LinearModel(identity_id, w, b, rescale_a, rescale_b))
+        w[j] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+        tail[j] = np.frombuffer(data, dtype="<f4", count=3, offset=offset + 4 * dim)
+        offset += record
     if offset != len(data):
         raise CorruptFileError(f"{path}: {len(data) - offset} trailing bytes")
-    return GalleryModelSet(models=models, descriptor_dim=dim)
+    b, rescale_a, rescale_b = tail.T.astype(np.float64)
+    if not (np.isfinite(w).all() and np.isfinite(tail).all()):
+        raise ModelValueError(f"{path}: non-finite model values")
+    if not (rescale_a > 0).all():
+        raise ModelValueError(f"{path}: rescale_a must be positive")
+    return GalleryModelSet(ids, w, b, rescale_a, rescale_b)
 
 
 def save_descriptor(path, descriptor):

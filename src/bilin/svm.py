@@ -6,7 +6,7 @@ image or video frame counts as an individual sample.  After training,
 each model's scores are affinely rescaled so the median positive
 training score is +1 and the median negative is -1 (two constraints,
 hence scale plus shift).  Rescaling is a positive affine map, so score
-orderings are preserved.
+orderings are preserved.  The models are the rows of one weight matrix.
 
 The solver is plain deterministic subgradient descent on
 
@@ -15,10 +15,12 @@ The solver is plain deterministic subgradient descent on
 where ``z_i = [x_i, 1]`` augments the bias into ``v`` (so the intercept
 is lightly regularized too, which keeps the diminishing-step schedule
 stable), and ``c_i`` are optional balance weights.  One full-batch step
-per epoch with rate ``1 / (lambda * t)``, ``lambda = 1 / (C * n)``.
+per epoch with rate ``1 / (lambda * t)``, ``lambda = 1 / (C * n)``.  The
+rate is the same for every identity, so one loop over a +-1 label
+matrix, one column per identity, trains them all at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,48 +41,39 @@ class LinearModel:
     rescale_b: float = 0.0
 
 
-def raw_score(model, descriptor):
-    """Margin score before rescaling: ``w . x + b``."""
-    d = np.asarray(descriptor)
-    if d.shape != model.w.shape:
-        raise ShapeError(
-            f"descriptor dim {d.shape} does not match model dim {model.w.shape}"
-        )
-    return float(model.w @ d) + float(model.b)
-
-
-def score(model, descriptor):
-    """Rescaled score: ``rescale_a * (w . x + b) + rescale_b``."""
-    return float(model.rescale_a) * raw_score(model, descriptor) + float(
-        model.rescale_b
-    )
-
-
 @dataclass
 class GalleryModelSet:
-    """One LinearModel per enrolled identity, all of equal dimension."""
+    """Row j of ``w`` and entry j of ``b``, ``rescale_a`` and ``rescale_b``
+    form the model of ``identity_ids[j]``; ids ascend (the rank tie-break)."""
 
-    models: list = field(default_factory=list)
-    descriptor_dim: int = 0
+    identity_ids: list
+    w: np.ndarray
+    b: np.ndarray
+    rescale_a: np.ndarray
+    rescale_b: np.ndarray
 
     def __post_init__(self):
-        ids = [m.identity_id for m in self.models]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate identity ids in gallery model set")
-        for m in self.models:
-            if m.w.shape != (self.descriptor_dim,):
-                raise ShapeError(
-                    f"model {m.identity_id!r} has dim {m.w.shape}, "
-                    f"expected ({self.descriptor_dim},)"
-                )
+        ids, k = list(self.identity_ids), len(self.identity_ids)
+        if ids != sorted(set(ids)):
+            raise ProtocolError("gallery identity ids must be unique and ascending")
+        shapes = [np.shape(v) for v in (self.w, self.b, self.rescale_a, self.rescale_b)]
+        if len(shapes[0]) != 2 or shapes[0][0] != k or shapes[1:] != [(k,)] * 3:
+            raise ShapeError(f"gallery of {k} identities with shapes {shapes}")
 
     @property
-    def identity_ids(self):
-        return [m.identity_id for m in self.models]
+    def descriptor_dim(self):
+        return self.w.shape[1]
 
-    def score_vector(self, descriptor):
-        """Scores of one descriptor against every enrolled identity."""
-        return {m.identity_id: score(m, descriptor) for m in self.models}
+    def score_vector(self, descriptors):
+        """Rescaled scores ``rescale_a * (w . x + b) + rescale_b``.
+
+        One descriptor of shape (dim,) gives one score per identity,
+        shape (k,); a (media, dim) stack gives shape (media, k).
+        """
+        x = np.asarray(descriptors)
+        if x.shape[-1:] != (self.descriptor_dim,):
+            raise ShapeError(f"descriptor shape {x.shape} for model dim {self.descriptor_dim}")
+        return self.rescale_a * (x @ self.w.T + self.b) + self.rescale_b
 
 
 def hinge_objective(w, b, X, y, reg_c, weights=None):
@@ -92,30 +85,35 @@ def hinge_objective(w, b, X, y, reg_c, weights=None):
     return 0.5 * (float(w @ w) + float(b) ** 2) + reg_c * float(hinge.sum())
 
 
-def train_binary_svm(X, y, reg_c=1.0, epochs=100, weights=None):
-    """Deterministic full-batch subgradient descent on the hinge objective.
-
-    Returns ``(w, b, trace)`` where ``trace[t]`` is the objective at the
-    start of epoch ``t`` plus a final entry for the returned iterate.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, dim = X.shape
-    if weights is None:
-        weights = np.ones(n)
+def _subgradient_descent(X, Y, weighted, reg_c, epochs):
+    """``(W, b)`` of one binary model per column of the +-1 labels ``Y``;
+    ``weighted`` is ``Y`` times the balance weights ``c``."""
+    (n, dim), k = X.shape, Y.shape[1]
     lam = 1.0 / (reg_c * n)
-    v = np.zeros(dim + 1)
-    Z = np.hstack([X, np.ones((n, 1))])
-    trace = []
+    W, grad = np.zeros((k, dim)), np.empty((k, dim))
+    b, coef = np.zeros(k), np.empty((n, k))
     for t in range(1, epochs + 1):
-        trace.append(hinge_objective(v[:dim], v[dim], X, y, reg_c, weights))
-        margins = y * (Z @ v)
-        violating = margins < 1.0
-        cw = weights * violating
-        subgrad = lam * v - (cw * y) @ Z / n
-        v = v - subgrad / (lam * t)
-    trace.append(hinge_objective(v[:dim], v[dim], X, y, reg_c, weights))
-    return v[:dim], float(v[dim]), trace
+        np.matmul(X, W.T, out=coef)
+        coef += b
+        coef *= Y  # the margins
+        np.multiply(weighted, coef < 1.0, out=coef)
+        # subgrad = lam * [W, b] - coef.T @ [X, 1] / n, updated in place
+        np.matmul(coef.T, X, out=grad)
+        grad /= n
+        np.subtract(lam * W, grad, out=grad)
+        grad /= lam * t
+        W -= grad
+        b -= (lam * b - coef.sum(axis=0) / n) / (lam * t)
+    return W, b
+
+
+def train_binary_svm(X, y, reg_c=1.0, epochs=100, weights=None):
+    """Deterministic full-batch subgradient descent; returns ``(w, b)``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    weighted = y if weights is None else np.asarray(weights)[:, None] * y
+    W, b = _subgradient_descent(X, y, weighted, reg_c, epochs)
+    return W[0], float(b[0])
 
 
 def rescale_model(model, pos_scores, neg_scores):
@@ -124,7 +122,7 @@ def rescale_model(model, pos_scores, neg_scores):
     Solves ``a * median(pos) + b = 1`` and ``a * median(neg) + b = -1``:
     ``a = 2 / (median(pos) - median(neg))``, ``b = 1 - a * median(pos)``.
     Requires ``median(pos) > median(neg)`` so that ``a > 0`` and score
-    order is preserved.
+    order is preserved.  The returned model shares ``model.w``.
     """
     pos_scores = np.asarray(pos_scores, dtype=np.float64)
     neg_scores = np.asarray(neg_scores, dtype=np.float64)
@@ -138,31 +136,10 @@ def rescale_model(model, pos_scores, neg_scores):
             f"median negative {med_neg:g} for {model.identity_id!r}"
         )
     a = 2.0 / (med_pos - med_neg)
-    return LinearModel(
-        identity_id=model.identity_id,
-        w=model.w.copy(),
-        b=model.b,
-        rescale_a=a,
-        rescale_b=1.0 - a * med_pos,
-    )
+    return replace(model, rescale_a=a, rescale_b=1.0 - a * med_pos)
 
 
-def _train_one_identity(identity, X, label_arr, reg_c, epochs, balanced):
-    y = np.where(label_arr == identity, 1.0, -1.0)
-    weights = None
-    if balanced:
-        n_pos = int((y > 0).sum())
-        n_neg = int((y < 0).sum())
-        weights = np.where(y > 0, n_neg / n_pos, 1.0)
-    w, b, _ = train_binary_svm(X, y, reg_c=reg_c, epochs=epochs,
-                               weights=weights)
-    scores = X @ w + b
-    model = LinearModel(identity_id=identity, w=w, b=b)
-    return rescale_model(model, scores[y > 0], scores[y < 0])
-
-
-def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, seed=0,
-                  balanced=False, workers=1):
+def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
     """Train one-vs-rest linear models on a labeled descriptor set.
 
     Parameters
@@ -170,45 +147,38 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, seed=0,
     descriptors : (n, dim) array
     labels : sequence of n identity-id strings (>= 2 distinct)
     reg_c : hinge penalty C
-    epochs : full-batch subgradient steps per identity
-    seed : reserved for subsampling solver variants; the shipped
-        full-batch solver is deterministic regardless
+    epochs : full-batch subgradient steps, shared by all identities
     balanced : weight each positive by n_neg / n_pos to counter the
         one-vs-rest imbalance (off by default)
-    workers : per-identity trainings are independent and run on a
-        thread pool when > 1; the result is identical either way
 
     Returns
     -------
     GalleryModelSet with one rescaled model per identity, ordered by
     ascending identity id.
     """
-    del seed
     X = np.asarray(descriptors, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"descriptors must be (n, dim), got shape {X.shape}")
     labels = [str(l) for l in labels]
     if len(labels) != X.shape[0]:
-        raise ShapeError(
-            f"{X.shape[0]} descriptors but {len(labels)} labels"
-        )
+        raise ShapeError(f"{X.shape[0]} descriptors but {len(labels)} labels")
     identities = sorted(set(labels))
     if len(identities) < 2:
         raise ProtocolError("one-vs-rest training needs at least 2 identities")
 
-    label_arr = np.asarray(labels)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    positive = np.asarray(labels)[:, None] == np.asarray(identities)[None, :]
+    Y = np.where(positive, 1.0, -1.0)
+    weighted = Y
+    if balanced:
+        # each positive weighs n_neg / n_pos, each negative 1
+        n_pos = positive.sum(axis=0)
+        weighted = np.where(positive, (len(labels) - n_pos) / n_pos, -1.0)
+    W, b = _subgradient_descent(X, Y, weighted, reg_c, epochs)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            models = list(pool.map(
-                lambda ident: _train_one_identity(
-                    ident, X, label_arr, reg_c, epochs, balanced),
-                identities,
-            ))
-    else:
-        models = [
-            _train_one_identity(ident, X, label_arr, reg_c, epochs, balanced)
-            for ident in identities
-        ]
-    return GalleryModelSet(models=models, descriptor_dim=X.shape[1])
+    scores = X @ W.T
+    scores += b
+    rescaled = [rescale_model(LinearModel(ident, W[j], b[j]), scores[positive[:, j], j],
+                              scores[~positive[:, j], j])
+                for j, ident in enumerate(identities)]
+    return GalleryModelSet(identities, W, b, np.array([m.rescale_a for m in rescaled]),
+                           np.array([m.rescale_b for m in rescaled]))

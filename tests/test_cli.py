@@ -189,7 +189,7 @@ class TestTrainGallery:
                      str(desc), "--out", str(models)]) == 0
         gallery = load_gallery(models / "gallery_s01.bgm")
         assert gallery.descriptor_dim == 16
-        assert len(gallery.models) == 3  # 4 identities, 1 impostor
+        assert len(gallery.identity_ids) == 3  # 4 identities, 1 impostor
 
     def test_missing_descriptors_exits_2_with_hint(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -197,20 +197,6 @@ class TestTrainGallery:
                    str(tmp_path / "nowhere"), "--out", str(tmp_path / "m")])
         assert rc == 2
         assert "bilin encode" in capsys.readouterr().err
-
-    def test_threads_match_single_thread_models(self, tmp_path):
-        data = synth(tmp_path)
-        desc = tmp_path / "desc"
-        main(["encode", "--input", str(data), "--out", str(desc)])
-        m1 = tmp_path / "m1"
-        m2 = tmp_path / "m2"
-        main(["train-gallery", "--data", str(data), "--descriptors",
-              str(desc), "--out", str(m1)])
-        main(["train-gallery", "--data", str(data), "--descriptors",
-              str(desc), "--out", str(m2), "--threads", "3"])
-        assert (m1 / "gallery_s01.bgm").read_bytes() == \
-            (m2 / "gallery_s01.bgm").read_bytes()
-
 
 class TestEval:
     def test_summary_shape_and_outputs(self, tmp_path):
@@ -235,6 +221,41 @@ class TestEval:
                    "--out", str(tmp_path / "e")])
         assert rc == 2
         assert "train-gallery" in capsys.readouterr().err
+
+    def test_descriptor_dim_mismatch_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        desc = tmp_path / "desc"
+        models = tmp_path / "models"
+        main(["encode", "--input", str(data), "--out", str(desc)])
+        main(["train-gallery", "--data", str(data), "--descriptors",
+              str(desc), "--out", str(models)])
+        for path in (desc / "descriptors").glob("*.npy"):
+            np.save(path, np.full(9, 1.0 / 3.0, dtype=np.float32))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(data), "--descriptors", str(desc),
+                   "--models", str(models), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "9" in err and "16" in err
+
+    def test_invalid_gallery_values_exit_3(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        desc = tmp_path / "desc"
+        models = tmp_path / "models"
+        main(["encode", "--input", str(data), "--out", str(desc)])
+        main(["train-gallery", "--data", str(data), "--descriptors",
+              str(desc), "--out", str(models)])
+        path = models / "gallery_s01.bgm"
+        data_bytes = bytearray(path.read_bytes())
+        # the first model's rescale_a sits 8 bytes before its record ends
+        id_len = struct.unpack_from("<H", data_bytes, 12)[0]
+        end = 12 + 2 + id_len + 4 * 16 + 12
+        struct.pack_into("<f", data_bytes, end - 8, 0.0)
+        path.write_bytes(bytes(data_bytes))
+        rc = main(["eval", "--data", str(data), "--descriptors", str(desc),
+                   "--models", str(models), "--out", str(tmp_path / "e")])
+        assert rc == 3
+        assert "rescale_a" in capsys.readouterr().err
 
     def test_singleton_templates_pool_identically(self, tmp_path):
         extra = ("--media", "1")

@@ -16,7 +16,7 @@ from bilin.evaluate import (
     write_det_csv,
 )
 from bilin.protocol import MediaItem, Split, Template
-from bilin.svm import GalleryModelSet, LinearModel
+from bilin.svm import GalleryModelSet
 
 from conftest import cmc_oracle, det_oracle, random_probe_results
 
@@ -27,12 +27,10 @@ def make_result(template_id, subject, scores):
 
 
 def gallery_from_weights(weights):
-    dim = len(next(iter(weights.values())))
-    models = [
-        LinearModel(name, np.asarray(w, dtype=float), 0.0)
-        for name, w in sorted(weights.items())
-    ]
-    return GalleryModelSet(models=models, descriptor_dim=dim)
+    ids = sorted(weights)
+    k = len(ids)
+    w = np.array([weights[name] for name in ids], dtype=float)
+    return GalleryModelSet(ids, w, np.zeros(k), np.ones(k), np.zeros(k))
 
 
 def probe_template(tid, subject, n_media):
@@ -67,21 +65,17 @@ class TestPoolFeatures:
 
 class TestPoolScores:
     def test_per_identity_max(self):
-        maps = [{"a": 0.1, "b": 0.9, "c": 0.0},
-                {"a": 0.5, "b": 0.2, "c": 0.3}]
-        assert pool_scores(maps) == {"a": 0.5, "b": 0.9, "c": 0.3}
+        rows = [[0.1, 0.9, 0.0],
+                [0.5, 0.2, 0.3]]
+        assert np.array_equal(pool_scores(rows), [0.5, 0.9, 0.3])
 
     def test_single_map_unchanged(self):
-        m = {"a": 0.4, "b": -0.2}
-        assert pool_scores([m]) == m
+        row = [0.4, -0.2]
+        assert np.array_equal(pool_scores([row]), row)
 
     def test_dominated_medium_absorbed(self):
-        maps = [{"a": 0.9, "b": 0.8}, {"a": 0.1, "b": 0.2}]
-        assert pool_scores(maps) == pool_scores(maps[:1])
-
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(ProtocolError):
-            pool_scores([{"a": 1.0}, {"b": 1.0}])
+        rows = np.array([[0.9, 0.8], [0.1, 0.2]])
+        assert np.array_equal(pool_scores(rows), pool_scores(rows[:1]))
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
@@ -123,7 +117,8 @@ class TestIdentify:
         assert result.ranked == ["alpha", "mid", "zeta"]
 
     def test_empty_gallery_rejected(self, rng):
-        empty = GalleryModelSet(models=[], descriptor_dim=2)
+        empty = GalleryModelSet([], np.zeros((0, 2)), np.zeros(0),
+                                np.ones(0), np.zeros(0))
         t = probe_template("p0", "a", 1)
         with pytest.raises(ProtocolError):
             identify(t, [rng.standard_normal(2)], empty)

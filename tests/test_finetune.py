@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bilin import finetune
 from bilin.errors import DataError, DivergenceError
 from bilin.extractor import init_conv_params
 from bilin.finetune import (
@@ -152,6 +153,33 @@ class TestSchedule:
         assert decayed[:3] == free[:3]
         assert free[-1] < decayed[-1]
         assert abs(decayed[-1] - decayed[8]) < abs(free[-1] - free[8])
+
+    def test_one_loss_pass_per_epoch_without_validation_set(self, toy, monkeypatch):
+        patches, labels = toy
+        passes = []
+
+        def counted(*args):
+            passes.append(1)
+            return mean_loss_and_error(*args)
+
+        monkeypatch.setattr(finetune, "mean_loss_and_error", counted)
+        cfg = TrainConfig(epochs=6, batch_size=4, seed=3, patience=1)
+
+        def run(**kwargs):
+            passes.clear()
+            extractor, head = fresh_stack()
+            out = finetune_softmax(extractor, head, patches, labels, cfg, **kwargs)
+            return out, len(passes)
+
+        (_, head, trace), n_passes = run()
+        (_, val_head, val_trace), n_val_passes = run(val_patches=patches,
+                                                     val_labels=labels)
+        # the initial loss, then one pass per epoch; a validation set adds one
+        assert n_passes == 1 + cfg.epochs
+        assert n_val_passes == 1 + 2 * cfg.epochs
+        # reusing the training pass's error decays the rates as before
+        assert trace == val_trace
+        assert np.array_equal(head.weights, val_head.weights)
 
 
 class TestValidation:

@@ -3,9 +3,16 @@ import struct
 import numpy as np
 import pytest
 
-from bilin.errors import BoundsError, CorruptFileError, FormatError, NumericError
+from bilin.errors import (
+    BoundsError,
+    CorruptFileError,
+    FormatError,
+    ModelValueError,
+    NumericError,
+)
 from bilin.io import (
     BFM_MAGIC,
+    BGM_MAGIC,
     FeatureMap,
     load_descriptor,
     load_feature_map,
@@ -14,7 +21,7 @@ from bilin.io import (
     save_feature_map,
     save_gallery,
 )
-from bilin.svm import GalleryModelSet, LinearModel
+from bilin.svm import GalleryModelSet
 
 
 def write_bfm(path, h, w, c, flags, payload_floats):
@@ -112,17 +119,14 @@ class TestFeatureMapFormat:
 
 
 def toy_gallery(rng, dim=6, n=3):
-    models = [
-        LinearModel(
-            identity_id=f"id{i:02d}",
-            w=rng.standard_normal(dim).astype(np.float32),
-            b=float(np.float32(rng.standard_normal())),
-            rescale_a=float(np.float32(rng.random() + 0.5)),
-            rescale_b=float(np.float32(rng.standard_normal())),
-        )
-        for i in range(n)
-    ]
-    return GalleryModelSet(models=models, descriptor_dim=dim)
+    f32 = lambda a: a.astype(np.float32).astype(np.float64)  # noqa: E731
+    return GalleryModelSet(
+        identity_ids=[f"id{i:02d}" for i in range(n)],
+        w=rng.standard_normal((n, dim)).astype(np.float32),
+        b=f32(rng.standard_normal(n)),
+        rescale_a=f32(rng.random(n) + 0.5),
+        rescale_b=f32(rng.standard_normal(n)),
+    )
 
 
 class TestGalleryFormat:
@@ -133,11 +137,12 @@ class TestGalleryFormat:
         loaded = load_gallery(path)
         assert loaded.descriptor_dim == gallery.descriptor_dim
         assert loaded.identity_ids == gallery.identity_ids
-        for a, b in zip(loaded.models, gallery.models):
-            assert np.array_equal(a.w, b.w)
-            assert a.b == np.float32(b.b)
-            assert a.rescale_a == np.float32(b.rescale_a)
-            assert a.rescale_b == np.float32(b.rescale_b)
+        assert np.array_equal(loaded.w, gallery.w)
+        assert np.array_equal(loaded.b, gallery.b.astype(np.float32))
+        assert np.array_equal(loaded.rescale_a,
+                              gallery.rescale_a.astype(np.float32))
+        assert np.array_equal(loaded.rescale_b,
+                              gallery.rescale_b.astype(np.float32))
 
     def test_save_load_save_is_byte_identical(self, tmp_path, rng):
         gallery = toy_gallery(rng)
@@ -167,12 +172,25 @@ class TestGalleryFormat:
         path.write_bytes(data[: len(data) - 3])
         with pytest.raises(CorruptFileError):
             load_gallery(path)
+        # a count the file cannot hold is refused before any allocation
+        path.write_bytes(BGM_MAGIC + struct.pack("<II", 2**32 - 1, 2**20))
+        with pytest.raises(CorruptFileError):
+            load_gallery(path)
+
+    @pytest.mark.parametrize("field, row, value", [
+        ("w", 1, np.nan), ("rescale_a", 0, 0.0), ("rescale_a", 2, -1.0),
+    ])
+    def test_invalid_model_values_rejected(self, tmp_path, rng, field, row, value):
+        gallery = toy_gallery(rng)
+        getattr(gallery, field)[row] = value
+        path = tmp_path / "g.bgm"
+        save_gallery(path, gallery)
+        with pytest.raises(ModelValueError):
+            load_gallery(path)
 
     def test_unicode_identity_ids(self, tmp_path):
-        gallery = GalleryModelSet(
-            models=[LinearModel("pérsonne-01", np.zeros(2, np.float32), 0.0)],
-            descriptor_dim=2,
-        )
+        gallery = GalleryModelSet(["pérsonne-01"], np.zeros((1, 2), np.float32),
+                                  np.zeros(1), np.ones(1), np.zeros(1))
         path = tmp_path / "u.bgm"
         save_gallery(path, gallery)
         assert load_gallery(path).identity_ids == ["pérsonne-01"]

@@ -6,9 +6,7 @@ from bilin.svm import (
     GalleryModelSet,
     LinearModel,
     hinge_objective,
-    raw_score,
     rescale_model,
-    score,
     train_binary_svm,
     train_ovr_svm,
 )
@@ -22,37 +20,75 @@ def blobs(rng, centers, per=10, sigma=0.3):
     return np.vstack(X), labels
 
 
+def single(w, b=0.0, rescale_a=1.0, rescale_b=0.0, identity="a"):
+    """A one-identity gallery."""
+    return GalleryModelSet([identity], np.atleast_2d(np.asarray(w, dtype=float)),
+                           np.array([b]), np.array([rescale_a]),
+                           np.array([rescale_b]))
+
+
+def ovr_loop_oracle(X, labels, reg_c=1.0, epochs=100, balanced=False):
+    """One identity at a time, the bias augmented into ``v`` through an
+    explicit ``[X, 1]`` copy, then median rescaling by hand."""
+    X = np.asarray(X, dtype=np.float64)
+    n, dim = X.shape
+    Z = np.hstack([X, np.ones((n, 1))])
+    lam = 1.0 / (reg_c * n)
+    ids = sorted(set(labels))
+    W, b, a, c = [], [], [], []
+    for ident in ids:
+        y = np.array([1.0 if l == ident else -1.0 for l in labels])
+        weights = np.ones(n)
+        if balanced:
+            weights = np.where(y > 0, (y < 0).sum() / (y > 0).sum(), 1.0)
+        v = np.zeros(dim + 1)
+        for t in range(1, epochs + 1):
+            violating = y * (Z @ v) < 1.0
+            subgrad = lam * v - (weights * violating * y) @ Z / n
+            v = v - subgrad / (lam * t)
+        scores = Z @ v
+        med_pos = np.median(scores[y > 0])
+        med_neg = np.median(scores[y < 0])
+        W.append(v[:dim])
+        b.append(v[dim])
+        a.append(2.0 / (med_pos - med_neg))
+        c.append(1.0 - a[-1] * med_pos)
+    return ids, np.array(W), np.array(b), np.array(a), np.array(c)
+
+
 class TestBinarySolver:
     def test_separable_1d_recovers_margin(self):
         X = np.array([[2.0], [3.0], [4.0], [-2.0], [-3.0], [-4.0]])
         y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-        w, b, trace = train_binary_svm(X, y)
+        w, b = train_binary_svm(X, y)
         assert np.all(np.sign(X @ w + b) == y)
         # max-margin solution for this data is w = 0.5, b = 0
         assert abs(w[0] - 0.5) < 1e-6 and abs(b) < 1e-6
-        assert trace[-1] <= trace[0]
+        assert hinge_objective(w, b, X, y, 1.0) <= \
+            hinge_objective(np.zeros(1), 0.0, X, y, 1.0)
 
     def test_objective_non_increasing_endpoints(self, rng):
         X = rng.standard_normal((30, 5))
         y = np.sign(X[:, 0] + 0.1 * rng.standard_normal(30))
-        _, _, trace = train_binary_svm(X, y, reg_c=2.0, epochs=150)
-        assert trace[-1] <= trace[0]
+        w, b = train_binary_svm(X, y, reg_c=2.0, epochs=150)
+        assert hinge_objective(w, b, X, y, 2.0) <= \
+            hinge_objective(np.zeros(5), 0.0, X, y, 2.0)
 
     def test_deterministic(self, rng):
         X = rng.standard_normal((20, 4))
         y = np.sign(rng.standard_normal(20))
         y[y == 0] = 1.0
-        w1, b1, t1 = train_binary_svm(X, y)
-        w2, b2, t2 = train_binary_svm(X, y)
-        assert np.array_equal(w1, w2) and b1 == b2 and t1 == t2
+        w1, b1 = train_binary_svm(X, y)
+        w2, b2 = train_binary_svm(X, y)
+        assert np.array_equal(w1, w2) and b1 == b2
 
     def test_balance_weights_shift_boundary(self, rng):
         X = np.vstack([rng.normal(1.5, 0.2, (2, 1)),
                        rng.normal(-1.5, 0.2, (40, 1))])
         y = np.array([1.0] * 2 + [-1.0] * 40)
         weights = np.where(y > 0, 20.0, 1.0)
-        w_plain, b_plain, _ = train_binary_svm(X, y)
-        w_bal, b_bal, _ = train_binary_svm(X, y, weights=weights)
+        w_plain, b_plain = train_binary_svm(X, y)
+        w_bal, b_bal = train_binary_svm(X, y, weights=weights)
         assert (w_bal[0], b_bal) != (w_plain[0], b_plain)
         assert np.all(np.sign(X @ w_bal + b_bal) == y)
 
@@ -91,28 +127,36 @@ class TestRescaleModel:
 
     def test_rescaling_preserves_rank(self, rng):
         m = LinearModel("a", rng.standard_normal(4), 0.2)
-        rescaled = rescale_model(m, [3.0, 4.0], [-1.0, 0.1])
+        r = rescale_model(m, [3.0, 4.0], [-1.0, 0.1])
+        raw = single(m.w, m.b)
+        rescaled = single(r.w, r.b, r.rescale_a, r.rescale_b)
         for _ in range(20):
             d1, d2 = rng.standard_normal((2, 4))
-            before = raw_score(m, d1) - raw_score(m, d2)
-            after = score(rescaled, d1) - score(rescaled, d2)
+            before = raw.score_vector(d1) - raw.score_vector(d2)
+            after = rescaled.score_vector(d1) - rescaled.score_vector(d2)
             assert np.sign(before) == np.sign(after)
 
 
 class TestScore:
     def test_zero_model_scores_zero(self, rng):
-        m = LinearModel("z", np.zeros(5), 0.0)
-        assert score(m, rng.standard_normal(5)) == 0.0
+        assert single(np.zeros(5)).score_vector(rng.standard_normal(5)) == 0.0
 
     def test_affine_arithmetic(self):
-        m = LinearModel("a", np.array([1.0, 0.0]), 0.0, rescale_a=2.0,
-                        rescale_b=-1.0)
-        assert score(m, np.array([3.0, 5.0])) == 5.0
+        gallery = single([1.0, 0.0], rescale_a=2.0, rescale_b=-1.0)
+        assert gallery.score_vector(np.array([3.0, 5.0])) == 5.0
 
     def test_dim_mismatch(self):
-        m = LinearModel("a", np.zeros(3), 0.0)
         with pytest.raises(ShapeError):
-            score(m, np.zeros(4))
+            single(np.zeros(3)).score_vector(np.zeros(4))
+
+    def test_stack_scores_match_single_descriptors(self, rng):
+        X, labels = blobs(rng, {"a": [2, 0, 1], "b": [-2, 0, 0], "c": [0, 2, -1]})
+        gallery = train_ovr_svm(X, labels)
+        stacked = gallery.score_vector(X)
+        assert stacked.shape == (len(X), 3)
+        for x, row in zip(X, stacked):
+            np.testing.assert_allclose(gallery.score_vector(x), row,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestTrainOvr:
@@ -127,7 +171,7 @@ class TestTrainOvr:
         gallery = train_ovr_svm(X, labels)
         for x, label in zip(X, labels):
             scores = gallery.score_vector(x)
-            assert max(scores, key=scores.get) == label
+            assert gallery.identity_ids[int(np.argmax(scores))] == label
 
     def test_duplicating_samples_keeps_held_out_signs(self, rng):
         X, labels = blobs(rng, {"a": [2.5, 0], "b": [-2.5, 0]}, per=8)
@@ -135,10 +179,8 @@ class TestTrainOvr:
         g1 = train_ovr_svm(X, labels)
         g2 = train_ovr_svm(np.vstack([X, X]), labels + labels)
         for x in held_out:
-            s1 = g1.score_vector(x)
-            s2 = g2.score_vector(x)
-            for ident in s1:
-                assert np.sign(s1[ident]) == np.sign(s2[ident])
+            assert np.array_equal(np.sign(g1.score_vector(x)),
+                                  np.sign(g2.score_vector(x)))
 
     def test_single_identity_rejected(self, rng):
         with pytest.raises(ProtocolError):
@@ -156,51 +198,62 @@ class TestTrainOvr:
         X, labels = blobs(rng, {"a": [2, 0], "b": [-2, 0]})
         g1 = train_ovr_svm(X, labels)
         g2 = train_ovr_svm(X, labels)
-        for m1, m2 in zip(g1.models, g2.models):
-            assert np.array_equal(m1.w, m2.w)
-            assert (m1.b, m1.rescale_a, m1.rescale_b) == \
-                (m2.b, m2.rescale_a, m2.rescale_b)
+        for field in ("w", "b", "rescale_a", "rescale_b"):
+            assert np.array_equal(getattr(g1, field), getattr(g2, field))
 
-    def test_workers_do_not_change_models(self, rng):
-        X, labels = blobs(rng, {"a": [2, 1], "b": [-2, 1], "c": [0, -2]})
-        g1 = train_ovr_svm(X, labels, workers=1)
-        g2 = train_ovr_svm(X, labels, workers=3)
-        for m1, m2 in zip(g1.models, g2.models):
-            assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_matches_per_identity_loop_oracle(self, rng, balanced):
+        X, labels = blobs(rng, {"d": [1, 1, 0], "a": [2, 0, 1], "b": [-1, 0, 1],
+                                "c": [0, -2, 0]}, per=7, sigma=0.8)
+        labels[3] = "c"  # uneven class sizes exercise the balance weights
+        gallery = train_ovr_svm(X, labels, reg_c=0.5, epochs=60,
+                                balanced=balanced)
+        ids, W, b, a, c = ovr_loop_oracle(X, labels, reg_c=0.5, epochs=60,
+                                          balanced=balanced)
+        assert gallery.identity_ids == ids
+        np.testing.assert_allclose(gallery.w, W, rtol=1e-12,
+                                   atol=1e-12 * np.abs(W).max())
+        np.testing.assert_allclose(gallery.b, b, rtol=1e-12,
+                                   atol=1e-12 * np.abs(b).max())
+        np.testing.assert_allclose(gallery.rescale_a, a, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gallery.rescale_b, c, rtol=0, atol=1e-9)
 
     def test_balanced_flag_trains(self, rng):
         X, labels = blobs(rng, {"a": [2, 0], "b": [-2, 0], "c": [0, 2]}, per=6)
         gallery = train_ovr_svm(X, labels, balanced=True)
-        assert len(gallery.models) == 3
+        assert len(gallery.identity_ids) == 3
 
     def test_rescaled_median_scores(self, rng):
         X, labels = blobs(rng, {"a": [3, 0], "b": [0, 3], "c": [-3, -3]})
         gallery = train_ovr_svm(X, labels)
-        for model in gallery.models:
-            own = [score(model, x) for x, l in zip(X, labels)
-                   if l == model.identity_id]
-            rest = [score(model, x) for x, l in zip(X, labels)
-                    if l != model.identity_id]
-            assert np.median(own) == pytest.approx(1.0, abs=1e-9)
-            assert np.median(rest) == pytest.approx(-1.0, abs=1e-9)
+        scores = gallery.score_vector(X)
+        for j, ident in enumerate(gallery.identity_ids):
+            own = np.array(labels) == ident
+            assert np.median(scores[own, j]) == pytest.approx(1.0, abs=1e-9)
+            assert np.median(scores[~own, j]) == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestGalleryModelSet:
     def test_duplicate_ids_rejected(self):
-        models = [LinearModel("a", np.zeros(2), 0.0),
-                  LinearModel("a", np.zeros(2), 0.0)]
-        with pytest.raises(ProtocolError):
-            GalleryModelSet(models=models, descriptor_dim=2)
+        # ids must also ascend: ranking breaks ties by row order
+        for ids in (["a", "a"], ["b", "a"]):
+            with pytest.raises(ProtocolError):
+                GalleryModelSet(ids, np.zeros((2, 2)), np.zeros(2),
+                                np.ones(2), np.zeros(2))
 
     def test_dim_mismatch_rejected(self):
-        models = [LinearModel("a", np.zeros(3), 0.0)]
         with pytest.raises(ShapeError):
-            GalleryModelSet(models=models, descriptor_dim=2)
+            GalleryModelSet(["a"], np.zeros((2, 3)), np.zeros(1), np.ones(1),
+                            np.zeros(1))
+        with pytest.raises(ShapeError):
+            GalleryModelSet(["a"], np.zeros((1, 3)), np.zeros(2), np.ones(1),
+                            np.zeros(1))
 
     def test_score_vector_keys(self, rng):
         X, labels = blobs(rng, {"a": [2, 0], "b": [-2, 0]})
         gallery = train_ovr_svm(X, labels)
-        assert set(gallery.score_vector(np.zeros(2))) == {"a", "b"}
+        assert gallery.identity_ids == ["a", "b"]
+        assert gallery.score_vector(np.zeros(2)).shape == (2,)
 
 
 def test_hinge_objective_counts_margin_violations():
