@@ -8,7 +8,8 @@ The pieces, bottom up:
 * :mod:`bilin.extractor` - a minimal trainable convolution + ReLU
   extractor, plus patch ingestion.
 * :mod:`bilin.io` - bit-exact binary formats for feature maps (.bfm)
-  and gallery model sets (.bgm), and float32 descriptor files.
+  and gallery model sets (.bgm), and the descriptor store: one float32
+  matrix per encode run plus a manifest naming its rows.
 * :mod:`bilin.svm` - one-vs-rest linear max-margin models with median
   score rescaling, trained on the gallery.
 * :mod:`bilin.finetune` - softmax-head fine-tuning of the whole stack

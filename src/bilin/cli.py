@@ -12,9 +12,9 @@ that produced it.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,11 @@ from .errors import (
     MetadataError,
     NumericError,
     ProtocolError,
+    ShapeError,
 )
 from .extractor import ingest_patch, init_conv_params
 from .finetune import TrainConfig, finetune_softmax, init_softmax_head
-from .io import load_descriptor, load_feature_map, save_descriptor, save_gallery, load_gallery
+from .io import MANIFEST_FILE, load_feature_map, load_gallery, load_store, save_gallery, save_store
 from .svm import train_ovr_svm
 
 
@@ -165,7 +166,6 @@ def _ordered_media(splits):
 
 def cmd_encode(args):
     settings = Settings(args)
-    threads = settings.get("threads", 1, int)
     settings.resolved.update(input=args.input, out=args.out,
                              force=bool(args.force))
     data_dir = Path(args.input)
@@ -173,63 +173,37 @@ def cmd_encode(args):
     media = _ordered_media(splits)
 
     out_dir = Path(args.out)
-    manifest_path = out_dir / "manifest.csv"
-    if manifest_path.exists() and not args.force:
-        print(f"encode: {manifest_path} exists, skipping (use --force to redo)")
-        return 0
-    desc_dir = out_dir / "descriptors"
-    desc_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / MANIFEST_FILE
+    if manifest_path.exists():
+        if not args.force:
+            print(f"encode: {manifest_path} exists, skipping (use --force to redo)")
+            return 0
+        # without it a failed or interrupted rerun cannot pass for a finished one
+        manifest_path.unlink()
 
-    def encode_one(item):
+    descriptors, failures = [], []
+    for item in media:
         try:
-            fmap = load_feature_map(data_dir / item.path)
-            return encode(fmap.values), None
+            descriptors.append(encode(load_feature_map(data_dir / item.path).values))
         except (FormatError, NumericError, OSError) as exc:
-            return None, f"{item.media_id}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(encode_one, media))
-    else:
-        outcomes = [encode_one(item) for item in media]
-
-    failures = []
-    rows = []
-    for item, (descriptor, error) in zip(media, outcomes):
-        if error is not None:
-            failures.append(error)
-            continue
-        rel = f"descriptors/{item.media_id}.npy"
-        save_descriptor(out_dir / rel, descriptor)
-        rows.append((item.media_id, rel, descriptor.size))
-    with open(manifest_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["media_id", "path", "dim"])
-        writer.writerows(rows)
-    write_run_config(out_dir, "encode", settings.resolved)
-
+            failures.append(f"{item.media_id}: {exc}")
     if failures:
-        print(f"encode: {len(failures)} of {len(media)} media failed:",
-              file=sys.stderr)
+        print(f"encode: {len(failures)} of {len(media)} media failed, "
+              f"nothing written:", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 3
-    print(f"encode: wrote {len(rows)} descriptors under {out_dir}")
+    save_store(out_dir, [m.media_id for m in media], descriptors)
+    write_run_config(out_dir, "encode", settings.resolved)
+    print(f"encode: wrote {len(media)} descriptors under {out_dir}")
     return 0
 
 
 def _load_descriptors_for(media, desc_dir, what):
-    desc_dir = Path(desc_dir)
-    table = {}
-    for item in media:
-        path = desc_dir / "descriptors" / f"{item.media_id}.npy"
-        if not path.exists():
-            raise ConfigError(
-                f"no descriptor for {what} medium {item.media_id!r} at {path}; "
-                f"run `bilin encode` first"
-            )
-        table[item.media_id] = load_descriptor(path)
-    return table
+    try:
+        return load_store(desc_dir, [m.media_id for m in media])
+    except ConfigError as exc:
+        raise ConfigError(f"{what} descriptors: {exc}; run `bilin encode` first") from None
 
 
 # ------------------------------------------------------------- finetune
@@ -328,9 +302,7 @@ def cmd_train_gallery(args):
             for item in template.media:
                 media.append(item)
                 labels.append(template.subject_id)
-        table = _load_descriptors_for(media, args.descriptors, "gallery")
-        X = np.stack([table[m.media_id] for m in media])
-        del table  # X holds the only copy training needs
+        X = _load_descriptors_for(media, args.descriptors, "gallery")
         gallery = train_ovr_svm(X, labels, reg_c=reg_c, epochs=epochs,
                                 balanced=balanced)
         path = out_dir / f"gallery_s{index:02d}.bgm"
@@ -370,11 +342,11 @@ def cmd_eval(args):
             )
         gallery = load_gallery(model_path)
         probe_media = [m for t in split.probe for m in t.media]
-        table = _load_descriptors_for(probe_media, args.descriptors, "probe")
-        dims = {d.shape[0] for d in table.values()} - {gallery.descriptor_dim}
-        if dims:
-            raise ConfigError(f"split {index}: probe descriptor dim {sorted(dims)} "
+        probes = _load_descriptors_for(probe_media, args.descriptors, "probe")
+        if probes.shape[1] != gallery.descriptor_dim:
+            raise ConfigError(f"split {index}: probe descriptor dim {probes.shape[1]} "
                               f"!= gallery dim {gallery.descriptor_dim} of {model_path}")
+        table = dict(zip((m.media_id for m in probe_media), probes))
         _, cmc, det, summary = evaluate.evaluate_split(
             split, gallery, table, strategy=pooling, max_rank=max_rank,
             rank1_conditioned=rank1_conditioned,
@@ -398,12 +370,27 @@ def cmd_eval(args):
 
 
 def _read_csv_columns(path, names):
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        rows = list(reader)
+    """The named columns of a CSV, each a list of finite floats."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return [[float(row[name]) for row in rows] for name in names]
+    columns = []
+    for name in names:
+        if name not in rows[0]:
+            raise ConfigError(f"{path}: no column {name!r}")
+        try:
+            values = [float(row[name]) for row in rows]
+        except (TypeError, ValueError):  # a missing or non-numeric cell
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path}: column {name!r} holds a cell that is "
+                              f"not a finite number")
+        columns.append(values)
+    return columns
 
 
 def cmd_plot(args):
@@ -424,7 +411,7 @@ def cmd_plot(args):
         (out_dir / "cmc.svg").write_text(chart, encoding="utf-8")
         written.append("cmc.svg")
     if args.det:
-        _, fpir, fnir = _read_csv_columns(args.det, ["threshold", "fpir", "fnir"])
+        fpir, fnir = _read_csv_columns(args.det, ["fpir", "fnir"])
         chart = svg.line_chart(
             [("", fpir, fnir)],
             title="Decision error trade-off",
@@ -467,7 +454,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--check-files", action="store_true")
-    p.add_argument("--threads", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_encode)
 
@@ -536,7 +522,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (ConfigError, DataError, ProtocolError) as exc:
+    except (ConfigError, DataError, ProtocolError, ShapeError) as exc:
         print(f"bilin: config error: {exc}", file=sys.stderr)
         return 2
     except (MetadataError, FormatError, OSError) as exc:

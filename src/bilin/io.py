@@ -18,21 +18,41 @@ Gallery model set (.bgm), "BGM1", little-endian:
         w       dim float32
         b, rescale_a, rescale_b   float32 each
 
-Both round-trip bit-exactly.  Descriptors are stored as float32 .npy
-files (see save_descriptor / load_descriptor).
+Both round-trip bit-exactly.
+
+Descriptor store, one per encode run, in one directory:
+    descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
+    manifest.csv     header "media_id", then the id of each row, in order
+
+The manifest is written after the array and renamed into place, so a
+manifest always names a whole store (see save_store / load_store).
 """
 
+import os
 import struct
+import tokenize
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundsError, CorruptFileError, FormatError, ModelValueError, NumericError
+from .errors import (
+    BoundsError,
+    ConfigError,
+    CorruptFileError,
+    FormatError,
+    ModelValueError,
+    NumericError,
+    ProtocolError,
+    ShapeError,
+)
 from .svm import GalleryModelSet
 
 BFM_MAGIC = b"BFM1"
 BGM_MAGIC = b"BGM1"
 FLAG_RECTIFIED = 0x01
+STORE_FILE = "descriptors.npy"
+MANIFEST_FILE = "manifest.csv"
 
 # Caps the element count so a hostile header cannot trigger a giant
 # allocation; 2**28 float32 values is 1 GiB.
@@ -153,7 +173,10 @@ def load_gallery(path):
         offset += 2
         if offset + id_len + record > len(data):
             raise CorruptFileError(f"{path}: truncated model record")
-        ids.append(data[offset : offset + id_len].decode("utf-8"))
+        try:
+            ids.append(data[offset : offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CorruptFileError(f"{path}: identity id of model {j} is not UTF-8") from None
         offset += id_len
         w[j] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
         tail[j] = np.frombuffer(data, dtype="<f4", count=3, offset=offset + 4 * dim)
@@ -165,15 +188,88 @@ def load_gallery(path):
         raise ModelValueError(f"{path}: non-finite model values")
     if not (rescale_a > 0).all():
         raise ModelValueError(f"{path}: rescale_a must be positive")
-    return GalleryModelSet(ids, w, b, rescale_a, rescale_b)
+    try:
+        return GalleryModelSet(ids, w, b, rescale_a, rescale_b)
+    except ProtocolError as exc:  # duplicate or unsorted ids
+        raise CorruptFileError(f"{path}: {exc}") from None
 
 
-def save_descriptor(path, descriptor):
-    np.save(path, np.asarray(descriptor, dtype=np.float32), allow_pickle=False)
+def save_store(out_dir, media_ids, descriptors):
+    """Write the store of one encode run: row i of ``descriptors.npy`` is
+    ``descriptors[i]`` as float32, and id i in ``manifest.csv`` names it.
+
+    Rows are cast one at a time, so no second copy of the whole set is
+    made.  The manifest is written last and renamed into place, so it
+    only ever names a whole store.
+    """
+    dim = np.size(descriptors[0])
+    if any(np.shape(d) != (dim,) for d in descriptors):
+        raise ShapeError(f"one store holds one descriptor dim, got shapes "
+                         f"{sorted({np.shape(d) for d in descriptors})}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / STORE_FILE, "wb") as f:
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": "<f4", "fortran_order": False, "shape": (len(descriptors), dim)})
+        for d in descriptors:
+            f.write(np.ascontiguousarray(d, dtype="<f4"))
+    tmp = out_dir / f"{MANIFEST_FILE}.tmp"
+    tmp.write_text("".join(f"{m}\n" for m in ["media_id", *media_ids]), encoding="utf-8")
+    os.replace(tmp, out_dir / MANIFEST_FILE)
 
 
-def load_descriptor(path):
-    arr = np.load(path, allow_pickle=False)
-    if arr.ndim != 1:
-        raise FormatError(f"{path}: descriptor must be 1-D, got shape {arr.shape}")
-    return arr
+def _read_store_header(f, path):
+    """(n, dim) of an open store; leaves ``f`` at the first row."""
+    try:
+        if np.lib.format.read_magic(f) != (1, 0):
+            raise ValueError("not a version 1.0 .npy file")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+        # numpy parses the header text as a Python literal
+        raise FormatError(f"{path}: {exc}") from None
+    if dtype.str != "<f4" or fortran_order or len(shape) != 2:
+        raise FormatError(f"{path}: expected a 2-D C-order <f4 array, got "
+                          f"{dtype.str} {'F' if fortran_order else 'C'} {shape}")
+    if shape[1] < 1:
+        raise BoundsError(f"{path}: non-positive descriptor dim {shape[1]}")
+    return shape
+
+
+def load_store(store_dir, media_ids):
+    """Rows of the store in ``store_dir`` for ``media_ids``, in that order,
+    as one (len(media_ids), dim) float32 array.
+
+    The header is checked once: a 2-D C-order <f4 array with one row per
+    manifest id and a payload that fills the file exactly.  Only the
+    requested rows are read, each checked finite as it is read.  A
+    missing manifest, or a medium it does not name, is a ConfigError; a
+    malformed store is a FormatError.
+    """
+    store_dir = Path(store_dir)
+    manifest = store_dir / MANIFEST_FILE
+    if not manifest.is_file():
+        raise ConfigError(f"no descriptor store at {store_dir}")
+    # ids are ASCII; a corrupt byte just makes an id that names no medium
+    lines = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
+    if lines[:1] != ["media_id"]:
+        raise FormatError(f"{manifest}: header must be exactly media_id")
+    rows = {media_id: row for row, media_id in enumerate(lines[1:])}
+    try:
+        index = [rows[m] for m in media_ids]
+    except KeyError as exc:
+        raise ConfigError(f"{manifest} names no medium {exc.args[0]!r}") from None
+    path = store_dir / STORE_FILE
+    with open(path, "rb") as f:
+        n, dim = _read_store_header(f, path)
+        if n != len(rows):  # also catches a duplicate id
+            raise CorruptFileError(f"{path}: {n} rows for {len(rows)} distinct ids in {manifest}")
+        start, row_bytes = f.tell(), 4 * dim
+        if os.fstat(f.fileno()).st_size != start + n * row_bytes:
+            raise CorruptFileError(f"{path}: payload does not hold {n}x{dim} float32 values")
+        out = np.empty((len(index), dim), dtype="<f4")
+        for i, row in enumerate(index):
+            f.seek(start + row * row_bytes)
+            if f.readinto(out[i]) != row_bytes or not np.isfinite(out[i]).all():
+                raise CorruptFileError(f"{path}: row {row} ({media_ids[i]}) "
+                                       f"is short or non-finite")
+    return out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bilin.cli import main
-from bilin.io import load_descriptor, load_gallery
+from bilin.io import load_gallery, load_store, save_feature_map
 from bilin.protocol import read_metadata
 
 SYNTH_FLAGS = [
@@ -32,6 +32,12 @@ def tree_hash(root):
             digest.update(path.relative_to(root).as_posix().encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def overwrite_store(desc, row):
+    """Replace every stored descriptor by ``row``, keeping the manifest."""
+    n = len((desc / "manifest.csv").read_text().splitlines()) - 1
+    np.save(desc / "descriptors.npy", np.tile(np.asarray(row, np.float32), (n, 1)))
 
 
 def run_pipeline(tmp_path, tag, pooling="score", synth_extra=()):
@@ -118,11 +124,14 @@ class TestEncode:
         assert main(["encode", "--input", str(data), "--out", str(desc)]) == 0
         splits = read_metadata(data / "metadata.csv")
         expected = [m.media_id for m in splits[0].all_media()]
-        lines = (desc / "manifest.csv").read_text().strip().splitlines()[1:]
-        listed = [line.split(",")[0] for line in lines]
-        assert listed == expected
-        first = load_descriptor(desc / "descriptors" / f"{expected[0]}.npy")
-        assert first.shape == (16,)
+        assert sorted(p.name for p in desc.iterdir()) == [
+            "descriptors.npy", "manifest.csv", "run_config.txt"]
+        lines = (desc / "manifest.csv").read_text().splitlines()
+        assert lines == ["media_id", *expected]
+        store = np.load(desc / "descriptors.npy")
+        assert store.shape == (len(expected), 16) and store.dtype == np.float32
+        first = load_store(desc, [expected[0]])[0]
+        assert np.array_equal(first, store[0])
         assert abs(np.linalg.norm(first) - 1.0) < 1e-6
 
     def test_missing_metadata_exits_2(self, tmp_path):
@@ -147,18 +156,11 @@ class TestEncode:
         assert main(["encode", "--input", str(data), "--out", str(desc),
                      "--force"]) == 0
 
-    def test_threads_match_single_thread_output(self, tmp_path):
+    def test_threads_option_is_gone(self, tmp_path):
         data = synth(tmp_path)
-        one = tmp_path / "one"
-        four = tmp_path / "four"
-        main(["encode", "--input", str(data), "--out", str(one)])
-        main(["encode", "--input", str(data), "--out", str(four),
-              "--threads", "4"])
-        a = tree_hash(one)
-        # run_config differs (threads recorded); compare descriptor trees
-        assert tree_hash(one / "descriptors") == tree_hash(four / "descriptors")
-        assert (one / "manifest.csv").read_bytes() == \
-            (four / "manifest.csv").read_bytes()
+        assert main(["encode", "--input", str(data), "--out",
+                     str(tmp_path / "d"), "--threads", "2"]) == 2
+        assert not (tmp_path / "d").exists()
 
     def test_check_files_catches_missing_map(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -177,6 +179,28 @@ class TestEncode:
         assert rc == 3
         err = capsys.readouterr().err
         assert "1 of" in err and "failed" in err
+
+    def test_failed_encode_writes_nothing_and_reruns_fail(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        desc = tmp_path / "desc"
+        assert main(["encode", "--input", str(data), "--out", str(desc)]) == 0
+        victim = next((data / "maps").glob("*.bfm"))
+        victim.write_bytes(victim.read_bytes()[:-4])
+        # --force drops the old manifest, so the plain rerun cannot skip
+        for extra in (["--force"], []):
+            assert main(["encode", "--input", str(data), "--out", str(desc),
+                         *extra]) == 3
+            assert not (desc / "manifest.csv").exists()
+        assert "skipping" not in capsys.readouterr().out
+
+    def test_mixed_descriptor_dims_exit_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        victim = next((data / "maps").glob("*.bfm"))
+        save_feature_map(victim, np.ones((6, 6, 3)), rectified=True)
+        rc = main(["encode", "--input", str(data), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestTrainGallery:
@@ -229,8 +253,7 @@ class TestEval:
         main(["encode", "--input", str(data), "--out", str(desc)])
         main(["train-gallery", "--data", str(data), "--descriptors",
               str(desc), "--out", str(models)])
-        for path in (desc / "descriptors").glob("*.npy"):
-            np.save(path, np.full(9, 1.0 / 3.0, dtype=np.float32))
+        overwrite_store(desc, np.full(9, 1.0 / 3.0))
         capsys.readouterr()
         rc = main(["eval", "--data", str(data), "--descriptors", str(desc),
                    "--models", str(models), "--out", str(tmp_path / "e")])
@@ -268,8 +291,7 @@ class TestEval:
         desc = tmp_path / "desc"
         main(["encode", "--input", str(data), "--out", str(desc)])
         # make every descriptor identical: no classifier can separate
-        for path in (desc / "descriptors").glob("*.npy"):
-            np.save(path, np.ones(16, dtype=np.float32) / 4.0)
+        overwrite_store(desc, np.ones(16) / 4.0)
         rc = main(["train-gallery", "--data", str(data), "--descriptors",
                    str(desc), "--out", str(tmp_path / "m")])
         assert rc == 4
@@ -324,6 +346,20 @@ class TestPlot:
 
     def test_no_inputs_exits_2(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "p")]) == 2
+
+    @pytest.mark.parametrize("text, column", [
+        ("step,recall\n1,0.5\n", "rank"),
+        ("rank,recall\nabc,0.5\n", "rank"),
+        ("rank,recall\n1,nan\n", "recall"),
+        ("rank,recall\n1,\udcff\n", None),
+    ], ids=["no-column", "text-cell", "nan-cell", "not-utf8"])
+    def test_malformed_csv_exits_2_naming_file_and_column(self, tmp_path, capsys,
+                                                          text, column):
+        cmc = tmp_path / "odd.csv"
+        cmc.write_text(text, errors="surrogateescape")  # \udcff: the byte ff
+        assert main(["plot", "--cmc", str(cmc), "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert "odd.csv" in err and (column is None or repr(column) in err)
 
 
 class TestDeterminism:

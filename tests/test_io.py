@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bilin.errors import (
     BoundsError,
+    ConfigError,
     CorruptFileError,
     FormatError,
     ModelValueError,
@@ -14,12 +17,12 @@ from bilin.io import (
     BFM_MAGIC,
     BGM_MAGIC,
     FeatureMap,
-    load_descriptor,
     load_feature_map,
     load_gallery,
-    save_descriptor,
+    load_store,
     save_feature_map,
     save_gallery,
+    save_store,
 )
 from bilin.svm import GalleryModelSet
 
@@ -195,18 +198,131 @@ class TestGalleryFormat:
         save_gallery(path, gallery)
         assert load_gallery(path).identity_ids == ["pérsonne-01"]
 
+    @pytest.mark.parametrize("ids", [[b"\xff\xfe"], [b"b", b"a"], [b"a", b"a"]])
+    def test_undecodable_or_unordered_ids_are_corruption(self, tmp_path, ids):
+        data = BGM_MAGIC + struct.pack("<II", len(ids), 1)
+        for raw in ids:
+            data += struct.pack("<H", len(raw)) + raw + struct.pack("<4f", 0, 0, 1, 0)
+        path = tmp_path / "g.bgm"
+        path.write_bytes(data)
+        with pytest.raises(CorruptFileError):
+            load_gallery(path)
+
+
+def toy_store(path, rng, n=4, dim=5):
+    ids = [f"m{i}" for i in range(n)]
+    descriptors = list(rng.standard_normal((n, dim)))
+    save_store(path, ids, descriptors)
+    return ids, descriptors
+
 
 class TestDescriptorFiles:
-    def test_round_trip_float32(self, tmp_path, rng):
-        d = rng.standard_normal(16)
-        path = tmp_path / "d.npy"
-        save_descriptor(path, d)
-        loaded = load_descriptor(path)
-        assert loaded.dtype == np.float32
-        assert np.array_equal(loaded, d.astype(np.float32))
+    """The descriptor store: descriptors.npy and manifest.csv."""
 
-    def test_rejects_non_vector(self, tmp_path, rng):
-        path = tmp_path / "m.npy"
-        np.save(path, rng.random((2, 2)).astype(np.float32))
+    def test_round_trip_float32(self, tmp_path, rng):
+        ids, descriptors = toy_store(tmp_path, rng)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "descriptors.npy", "manifest.csv"]
+        assert (tmp_path / "manifest.csv").read_text().split() == ["media_id", *ids]
+        loaded = load_store(tmp_path, [ids[2], ids[0], ids[2]])
+        assert loaded.dtype == np.float32
+        expected = np.float32([descriptors[2], descriptors[0], descriptors[2]])
+        assert np.array_equal(loaded, expected)
+        assert np.array_equal(np.load(tmp_path / "descriptors.npy"),
+                               np.float32(descriptors))
+
+    def test_rejects_non_matrix(self, tmp_path, rng):
+        ids, _ = toy_store(tmp_path, rng)
+        for array in (np.ones(4, np.float32), np.ones((4, 1, 5), np.float32),
+                      np.ones((4, 5)), np.asfortranarray(np.ones((4, 5), np.float32))):
+            np.save(tmp_path / "descriptors.npy", array)
+            with pytest.raises(FormatError):
+                load_store(tmp_path, ids[:1])
+
+    @pytest.mark.parametrize("edit", ["drop_name", "truncate", "append"])
+    def test_row_count_or_length_mismatch_is_corruption(self, tmp_path, rng, edit):
+        ids, _ = toy_store(tmp_path, rng)
+        store, manifest = tmp_path / "descriptors.npy", tmp_path / "manifest.csv"
+        if edit == "drop_name":
+            manifest.write_text("\n".join(["media_id", *ids[:-1]]) + "\n")
+        elif edit == "truncate":
+            store.write_bytes(store.read_bytes()[:-1])
+        else:
+            store.write_bytes(store.read_bytes() + b"\0" * 4)
+        with pytest.raises(CorruptFileError):
+            load_store(tmp_path, ids[:1])
+
+    def test_only_requested_rows_are_read_and_checked(self, tmp_path, rng):
+        ids, descriptors = toy_store(tmp_path, rng)
+        descriptors[1][3] = np.nan
+        save_store(tmp_path, ids, descriptors)
+        assert load_store(tmp_path, [ids[0], ids[2]]).shape == (2, 5)
+        with pytest.raises(CorruptFileError):
+            load_store(tmp_path, [ids[0], ids[1]])
+
+    def test_missing_store_or_medium_is_config_error(self, tmp_path, rng):
+        with pytest.raises(ConfigError):
+            load_store(tmp_path, ["m0"])
+        toy_store(tmp_path, rng)
+        with pytest.raises(ConfigError, match="'m9'"):
+            load_store(tmp_path, ["m0", "m9"])
+
+    @pytest.mark.parametrize("text", [
+        "media_id,path,dim\nm0,descriptors/m0.npy,5\n",  # per-medium layout
+        "media_id\nm0\nm0\nm1\nm2\n",
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, rng, text):
+        toy_store(tmp_path, rng)
+        (tmp_path / "manifest.csv").write_text(text)
         with pytest.raises(FormatError):
-            load_descriptor(path)
+            load_store(tmp_path, ["m0"])
+
+
+# Byte mutations: (offset, new byte) pairs, then an optional cut or extension.
+mutations = st.tuples(
+    st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4),
+    st.one_of(st.none(), st.integers(-8, 8)),
+)
+fuzz = settings(max_examples=300, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def mutate(data, edits, offsets_within):
+    changes, resize = edits
+    data = bytearray(data)
+    for offset, value in changes:
+        data[offset % offsets_within] = value
+    if resize is not None:
+        data = data[:len(data) + resize] if resize < 0 else data + bytes(resize)
+    return bytes(data)
+
+
+class TestMutatedFilesRaiseFormatErrors:
+    """A corrupt file may load, but any failure is in the FormatError family."""
+
+    @fuzz
+    @given(edits=mutations)
+    def test_gallery(self, tmp_path, edits):
+        path = tmp_path / "g.bgm"
+        save_gallery(path, toy_gallery(np.random.default_rng(3)))
+        data = path.read_bytes()
+        path.write_bytes(mutate(data, edits, len(data)))
+        try:
+            load_gallery(path)
+        except FormatError:
+            pass
+
+    @fuzz
+    @given(edits=mutations, in_header=st.booleans())
+    def test_descriptor_store(self, tmp_path, edits, in_header):
+        ids, _ = toy_store(tmp_path, np.random.default_rng(3))
+        path = tmp_path / "descriptors.npy"
+        data = path.read_bytes()
+        header = 128  # the version 1.0 header of a small array
+        edited = mutate(data, edits, header) if in_header else \
+            data[:header] + mutate(data[header:], edits, len(data) - header)
+        path.write_bytes(edited)
+        try:
+            load_store(tmp_path, ids)
+        except FormatError:
+            pass
