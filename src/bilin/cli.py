@@ -34,7 +34,7 @@ from .errors import (
 )
 from .extractor import ingest_patch, init_conv_params
 from .finetune import TrainConfig, finetune_softmax, init_softmax_head
-from .io import MANIFEST_FILE, load_feature_map, load_gallery, load_store, save_gallery, save_store
+from .io import MANIFEST_FILE, StoreWriter, load_feature_map, load_gallery, load_store, save_gallery
 from .svm import train_ovr_svm
 
 
@@ -181,19 +181,29 @@ def cmd_encode(args):
         # without it a failed or interrupted rerun cannot pass for a finished one
         manifest_path.unlink()
 
-    descriptors, failures = [], []
-    for item in media:
-        try:
-            descriptors.append(encode(load_feature_map(data_dir / item.path).values))
-        except (FormatError, NumericError, OSError) as exc:
-            failures.append(f"{item.media_id}: {exc}")
-    if failures:
-        print(f"encode: {len(failures)} of {len(media)} media failed, "
-              f"nothing written:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 3
-    save_store(out_dir, [m.media_id for m in media], descriptors)
+    failures, mixed_dims = [], None
+    with StoreWriter(out_dir, [m.media_id for m in media]) as store:
+        for item in media:
+            try:
+                descriptor = encode(load_feature_map(data_dir / item.path).values)
+            except (FormatError, NumericError, OSError) as exc:
+                failures.append(f"{item.media_id}: {exc}")
+                continue
+            if failures or mixed_dims:
+                continue  # this run writes nothing; go on to list every failure
+            try:
+                store.write(descriptor)
+            except ShapeError as exc:
+                mixed_dims = exc
+        if failures:
+            print(f"encode: {len(failures)} of {len(media)} media failed, "
+                  f"nothing written:", file=sys.stderr)
+            for line in failures:
+                print(f"  {line}", file=sys.stderr)
+            return 3
+        if mixed_dims:
+            raise mixed_dims
+        store.commit()
     write_run_config(out_dir, "encode", settings.resolved)
     print(f"encode: wrote {len(media)} descriptors under {out_dir}")
     return 0

@@ -10,9 +10,13 @@ co-occurrence statistics.  The pooled matrix is vectorized row-major
 root and then scaled to unit Euclidean norm.
 
 Accumulation is done in float64; descriptors are cast to float32 only
-at storage time (see :mod:`bilin.io`).  All functions are pure.
+at storage time (see :mod:`bilin.io`).  All public functions are pure:
+:func:`encode` runs the signed square root and the normalisation in
+place, but only on the pooled matrix it allocates itself, and it checks
+finiteness once, on its input maps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +90,34 @@ def bilinear_pool_backward(a, b, g_out):
     return g_a, g_b
 
 
+def _signed_sqrt_inplace(x):
+    # Same bits as sign(x) * sqrt(|x|): -0.0 is not < 0, so it maps to +0.0.
+    neg = x < 0
+    np.abs(x, out=x)
+    np.sqrt(x, out=x)
+    np.negative(x, out=x, where=neg)
+    return x
+
+
+def _l2_normalize_inplace(x):
+    norm = float(np.linalg.norm(x))
+    if not math.isfinite(norm):
+        raise NumericError("l2_normalize: non-finite norm")
+    if norm != 0.0:
+        x /= norm
+    return x
+
+
 def signed_sqrt(v):
     """Elementwise ``sign(x) * sqrt(|x|)``.
 
     Preserves the sign pattern.  Not idempotent: applying it twice
     yields a signed fourth root.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NumericError("signed_sqrt: non-finite input")
-    return np.sign(v) * np.sqrt(np.abs(v))
+    return _signed_sqrt_inplace(v)
 
 
 def signed_sqrt_backward(v, g):
@@ -119,13 +141,10 @@ def l2_normalize(v):
     The zero vector is returned unchanged (rectified inputs can pool
     to all zeros on degenerate crops and must not abort a pipeline).
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NumericError("l2_normalize: non-finite input")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return v.copy()
-    return v / norm
+    return _l2_normalize_inplace(v)
 
 
 def l2_normalize_backward(v, g):
@@ -153,8 +172,8 @@ def encode(a, b=None):
     (or all zeros for an all-zero pooled matrix).  Vectorization is
     row-major, so e.g. two 27x27x512 maps give a 262144-d descriptor.
     """
-    pooled = bilinear_pool(a, b)
-    return l2_normalize(signed_sqrt(pooled.reshape(-1)))
+    x = bilinear_pool(a, b).reshape(-1)
+    return _l2_normalize_inplace(_signed_sqrt_inplace(x))
 
 
 def encode_backward(a, b, g_desc):
@@ -188,7 +207,7 @@ def first_order_descriptor(values):
     """
     arr = _as_map(values, "values")
     mean = arr.reshape(-1, arr.shape[2]).mean(axis=0)
-    return l2_normalize(signed_sqrt(mean))
+    return _l2_normalize_inplace(_signed_sqrt_inplace(mean))
 
 
 @dataclass

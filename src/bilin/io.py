@@ -24,8 +24,10 @@ Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
     manifest.csv     header "media_id", then the id of each row, in order
 
-The manifest is written after the array and renamed into place, so a
-manifest always names a whole store (see save_store / load_store).
+Rows are streamed to ``descriptors.npy.tmp``, which is renamed into
+place after the last row; the manifest is written after that and
+renamed into place too, so a manifest always names a whole store (see
+StoreWriter / load_store).
 """
 
 import os
@@ -183,9 +185,9 @@ def load_gallery(path):
         offset += record
     if offset != len(data):
         raise CorruptFileError(f"{path}: {len(data) - offset} trailing bytes")
-    b, rescale_a, rescale_b = tail.T.astype(np.float64)
     if not (np.isfinite(w).all() and np.isfinite(tail).all()):
         raise ModelValueError(f"{path}: non-finite model values")
+    b, rescale_a, rescale_b = tail.T.astype(np.float64)
     if not (rescale_a > 0).all():
         raise ModelValueError(f"{path}: rescale_a must be positive")
     try:
@@ -194,28 +196,88 @@ def load_gallery(path):
         raise CorruptFileError(f"{path}: {exc}") from None
 
 
+class StoreWriter:
+    """Streams the rows of one encode run into a descriptor store.
+
+    Each row is cast into one reused float32 buffer and appended to
+    ``descriptors.npy.tmp`` as soon as it is written; the directory and
+    the header are made at the first row, once the dim is known.
+    :meth:`commit` renames the array into place, then writes the
+    manifest, so a manifest only ever names a whole store.  Closing the
+    writer without a commit (the ``with`` block exits) deletes the
+    temporary file and every directory the writer made.
+    """
+
+    def __init__(self, out_dir, media_ids):
+        self.out_dir = Path(out_dir)
+        self.media_ids = list(media_ids)
+        self._tmp = self.out_dir / f"{STORE_FILE}.tmp"
+        self._file = None
+        self._row = None
+        self._rows = 0
+        self._made = []  # directories this writer created, deepest first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def write(self, descriptor):
+        """Append one row; a descriptor of another shape than the first
+        row's is a ShapeError and is not written."""
+        if self._file is None:
+            self._open(np.size(descriptor))
+        if np.shape(descriptor) != self._row.shape:
+            raise ShapeError(f"one store holds one descriptor dim: row {self._rows} "
+                             f"has shape {np.shape(descriptor)}, row 0 {self._row.shape}")
+        np.copyto(self._row, descriptor, casting="same_kind")
+        self._file.write(self._row)
+        self._rows += 1
+
+    def _open(self, dim):
+        d = self.out_dir
+        while not d.exists():
+            self._made.append(d)
+            d = d.parent
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._file = open(self._tmp, "wb")
+        np.lib.format.write_array_header_1_0(self._file, {
+            "descr": "<f4", "fortran_order": False, "shape": (len(self.media_ids), dim)})
+        self._row = np.empty(dim, dtype="<f4")
+
+    def commit(self):
+        """Put the store in place once every row has been written."""
+        n = len(self.media_ids)
+        if self._file is None or self._rows != n:
+            raise ShapeError(f"a store of {n} rows got {self._rows}")
+        self._file.close()
+        os.replace(self._tmp, self.out_dir / STORE_FILE)
+        self._made = []  # they hold the store now
+        tmp = self.out_dir / f"{MANIFEST_FILE}.tmp"
+        tmp.write_text("".join(f"{m}\n" for m in ["media_id", *self.media_ids]),
+                       encoding="utf-8")
+        os.replace(tmp, self.out_dir / MANIFEST_FILE)
+
+    def close(self):
+        """Discard an uncommitted store; a no-op after :meth:`commit`."""
+        if self._file is not None:
+            self._file.close()
+            self._tmp.unlink(missing_ok=True)  # renamed away by a commit
+        for d in self._made:
+            try:
+                d.rmdir()
+            except OSError:  # it holds files this writer did not write
+                break
+
+
 def save_store(out_dir, media_ids, descriptors):
     """Write the store of one encode run: row i of ``descriptors.npy`` is
-    ``descriptors[i]`` as float32, and id i in ``manifest.csv`` names it.
-
-    Rows are cast one at a time, so no second copy of the whole set is
-    made.  The manifest is written last and renamed into place, so it
-    only ever names a whole store.
-    """
-    dim = np.size(descriptors[0])
-    if any(np.shape(d) != (dim,) for d in descriptors):
-        raise ShapeError(f"one store holds one descriptor dim, got shapes "
-                         f"{sorted({np.shape(d) for d in descriptors})}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / STORE_FILE, "wb") as f:
-        np.lib.format.write_array_header_1_0(
-            f, {"descr": "<f4", "fortran_order": False, "shape": (len(descriptors), dim)})
-        for d in descriptors:
-            f.write(np.ascontiguousarray(d, dtype="<f4"))
-    tmp = out_dir / f"{MANIFEST_FILE}.tmp"
-    tmp.write_text("".join(f"{m}\n" for m in ["media_id", *media_ids]), encoding="utf-8")
-    os.replace(tmp, out_dir / MANIFEST_FILE)
+    ``descriptors[i]`` as float32, and id i in ``manifest.csv`` names it."""
+    with StoreWriter(out_dir, media_ids) as store:
+        for descriptor in descriptors:
+            store.write(descriptor)
+        store.commit()
 
 
 def _read_store_header(f, path):

@@ -91,17 +91,20 @@ def read_metadata(path, check_files=False):
 
     Raises MetadataError on schema violations: bad header, unknown role
     or kind, duplicate media ids, a template spanning two subjects or
-    two roles, or an empty file.  With ``check_files`` every referenced
-    feature file must exist.
+    two roles, an empty file, or one that is not UTF-8.  With
+    ``check_files`` every referenced feature file must exist.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or set(reader.fieldnames) != set(CSV_COLUMNS):
-            raise MetadataError(
-                f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
-            )
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None or set(reader.fieldnames) != set(CSV_COLUMNS):
+                raise MetadataError(
+                    f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
+                )
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise MetadataError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise MetadataError(f"{path}: no media rows")
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bilin.cli import main
+from bilin.encoder import encode
 from bilin.io import load_gallery, load_store, save_feature_map
 from bilin.protocol import read_metadata
 
@@ -201,6 +203,65 @@ class TestEncode:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_failed_or_interrupted_encode_leaves_no_temporary(self, tmp_path, monkeypatch):
+        data = synth(tmp_path)
+        desc = tmp_path / "desc"
+        assert main(["encode", "--input", str(data), "--out", str(desc)]) == 0
+        before = (desc / "descriptors.npy").read_bytes()
+        victim = next((data / "maps").glob("*.bfm"))
+        good_map = victim.read_bytes()
+        victim.write_bytes(good_map[:-4])
+        assert main(["encode", "--input", str(data), "--out", str(desc), "--force"]) == 3
+        assert (desc / "descriptors.npy").read_bytes() == before
+        save_feature_map(victim, np.ones((6, 6, 3)), rectified=True)
+        assert main(["encode", "--input", str(data), "--out", str(tmp_path / "d")]) == 2
+        victim.write_bytes(good_map)
+
+        calls = []
+
+        def interrupted(values):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return encode(values)
+
+        monkeypatch.setattr("bilin.cli.encode", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["encode", "--input", str(data), "--out", str(tmp_path / "new" / "d")])
+        assert not (tmp_path / "new").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_peak_memory_does_not_grow_with_media_count(self, tmp_path):
+        dim = 128 * 128
+        peaks = []
+        for media in (2, 8):  # 24 and 96 media
+            data = synth(tmp_path, f"data{media}", ["--media", str(media),
+                                                   "--map-dims", "2x2x128"])
+            tracemalloc.start()
+            try:
+                assert main(["encode", "--input", str(data),
+                             "--out", str(tmp_path / f"desc{media}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the larger run holds less than one more float64 descriptor
+        assert peaks[1] - peaks[0] < 8 * dim, peaks
+
+
+class TestMetadata:
+    @pytest.mark.parametrize("stage", ["encode", "train-gallery", "eval", "finetune"])
+    def test_non_utf8_metadata_exits_3(self, tmp_path, capsys, stage):
+        data = synth(tmp_path)
+        with open(data / "metadata.csv", "ab") as f:
+            f.write(b"\xff")
+        paths = {"encode": ["--input", str(data)], "train-gallery": [
+            "--data", str(data), "--descriptors", str(tmp_path / "desc")],
+            "eval": ["--data", str(data), "--descriptors", str(tmp_path / "desc"),
+                     "--models", str(tmp_path / "models")],
+            "finetune": ["--data", str(data)]}
+        assert main([stage, *paths[stage], "--out", str(tmp_path / "out")]) == 3
+        assert "metadata.csv: not UTF-8" in capsys.readouterr().err
 
 
 class TestTrainGallery:

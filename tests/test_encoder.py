@@ -264,6 +264,28 @@ class TestEncode:
         a = rng.standard_normal((2, 2, 3))
         np.testing.assert_allclose(encode(a), encode(a, a), atol=1e-12)
 
+    def test_in_place_chain_matches_quotient_oracle_bit_for_bit(self, rng):
+        def oracle(x):
+            y = np.sign(x) * np.sqrt(np.abs(x))
+            norm = np.linalg.norm(y)
+            return y / norm if norm else y
+
+        vectors = [np.zeros(7), np.full(7, -0.0)]
+        for _ in range(20):
+            v = rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30)
+            v[rng.random(64) < 0.2] = 0.0
+            v[rng.random(64) < 0.2] = -0.0
+            vectors.append(v)
+        for v in vectors:
+            before = v.tobytes()
+            assert l2_normalize(signed_sqrt(v)).tobytes() == oracle(v).tobytes()
+            assert v.tobytes() == before  # the public functions copy
+        maps = [rng.standard_normal((3, 3, 4)), np.zeros((2, 2, 3))]
+        maps[0][..., 1] = 0.0
+        for a in maps:
+            pooled = bilinear_pool(a).reshape(-1)
+            assert encode(a).tobytes() == oracle(pooled).tobytes()
+
     def test_all_zero_map_encodes_to_zero(self):
         assert not encode(np.zeros((2, 2, 3))).any()
 

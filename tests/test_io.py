@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bilin.errors import (
     FormatError,
     ModelValueError,
     NumericError,
+    ShapeError,
 )
 from bilin.io import (
     BFM_MAGIC,
@@ -191,6 +193,17 @@ class TestGalleryFormat:
         with pytest.raises(ModelValueError):
             load_gallery(path)
 
+    @pytest.mark.parametrize("tail", [(0x7F800001, 0x3F800000, 0), (0, 0xFFC00000, 0)])
+    def test_nan_bit_patterns_rejected_without_warning(self, tmp_path, tail):
+        # a signalling NaN (0x7f800001) raises "invalid" when cast to float64
+        path = tmp_path / "g.bgm"
+        path.write_bytes(BGM_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"a"
+                         + struct.pack("<f3I", 0.0, *tail))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelValueError):
+                load_gallery(path)
+
     def test_unicode_identity_ids(self, tmp_path):
         gallery = GalleryModelSet(["pérsonne-01"], np.zeros((1, 2), np.float32),
                                   np.zeros(1), np.ones(1), np.zeros(1))
@@ -260,6 +273,16 @@ class TestDescriptorFiles:
         with pytest.raises(CorruptFileError):
             load_store(tmp_path, [ids[0], ids[1]])
 
+    def test_failed_write_removes_temporary_and_made_directories(self, tmp_path, rng):
+        rows = [np.ones(5), np.ones(4)]
+        for out in (tmp_path, tmp_path / "a" / "b"):
+            with pytest.raises(ShapeError):
+                save_store(out, ["m0", "m1"], rows)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ShapeError, match="2 rows got 1"):
+            save_store(tmp_path, ["m0", "m1"], rows[:1])
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_store_or_medium_is_config_error(self, tmp_path, rng):
         with pytest.raises(ConfigError):
             load_store(tmp_path, ["m0"])
@@ -311,6 +334,24 @@ class TestMutatedFilesRaiseFormatErrors:
             load_gallery(path)
         except FormatError:
             pass
+
+    @fuzz
+    @given(edits=mutations, in_header=st.booleans())
+    def test_feature_map(self, tmp_path, edits, in_header):
+        path = tmp_path / "m.bfm"
+        # rectified and non-negative: only a payload edit can make it invalid
+        save_feature_map(path, np.random.default_rng(3).random((3, 4, 5)), rectified=True)
+        data = path.read_bytes()
+        header = 20
+        edited = mutate(data, edits, header) if in_header else \
+            data[:header] + mutate(data[header:], edits, len(data) - header)
+        path.write_bytes(edited)
+        try:
+            load_feature_map(path)
+        except FormatError:
+            pass
+        except NumericError:  # a non-finite or negative value, which encode reports
+            assert not in_header
 
     @fuzz
     @given(edits=mutations, in_header=st.booleans())
