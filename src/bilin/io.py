@@ -121,14 +121,14 @@ def load_feature_map(path):
         n = h * w * c
         if n > MAX_MAP_ELEMENTS:
             raise BoundsError(f"{path}: {h}x{w}x{c} exceeds the format limit")
-        payload = f.read(4 * n + 1)
-    if len(payload) != 4 * n:
-        raise CorruptFileError(
-            f"{path}: header declares {n} floats, payload holds "
-            f"{'more' if len(payload) > 4 * n else len(payload) // 4}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
-    fmap = FeatureMap(values.copy(), bool(flags & FLAG_RECTIFIED))
+        values = np.empty((h, w, c), dtype="<f4")
+        got = f.readinto(values)
+        if got != 4 * n or f.read(1):
+            raise CorruptFileError(
+                f"{path}: header declares {n} floats, payload holds "
+                f"{'more' if got == 4 * n else got // 4}"
+            )
+    fmap = FeatureMap(values, bool(flags & FLAG_RECTIFIED))
     fmap.validate()
     return fmap
 
@@ -269,15 +269,6 @@ class StoreWriter:
                 d.rmdir()
             except OSError:  # it holds files this writer did not write
                 break
-
-
-def save_store(out_dir, media_ids, descriptors):
-    """Write the store of one encode run: row i of ``descriptors.npy`` is
-    ``descriptors[i]`` as float32, and id i in ``manifest.csv`` names it."""
-    with StoreWriter(out_dir, media_ids) as store:
-        for descriptor in descriptors:
-            store.write(descriptor)
-        store.commit()
 
 
 def _read_store_header(f, path):

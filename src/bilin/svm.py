@@ -18,6 +18,18 @@ stable), and ``c_i`` are optional balance weights.  One full-batch step
 per epoch with rate ``1 / (lambda * t)``, ``lambda = 1 / (C * n)``.  The
 rate is the same for every identity, so one loop over a +-1 label
 matrix, one column per identity, trains them all at once.
+
+Starting from ``W = 0``, every iterate is a combination of the rows of
+``X``: ``W_t = A_t X`` with ``A`` of shape (k, n) (the representer
+argument of kernelised Pegasos).  So when a gallery has fewer media than
+descriptor dims (``n < dim``, as always at the paper's 262144-d),
+``train_ovr_svm`` runs the same recurrence on ``A`` through the (n, n)
+Gram matrix ``G = X X^T``: margins ``(G A^T + b) * Y``, step ``A <- (1 -
+1/t) A + coef^T / (n lambda t)``, O(n^2 k) per epoch instead of
+O(n dim k).  ``G`` is accumulated and ``W = A X`` formed once, both over
+column blocks of ``X`` cast to float64 one at a time, so no float64 copy
+of the float32 store is made.  With ``n >= dim`` the primal loop runs;
+the two agree to float64 rounding.
 """
 
 from dataclasses import dataclass, replace
@@ -25,6 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateModelError, ProtocolError, ShapeError
+
+# Columns of X cast to float64 at a time by the Gram form; 16 rows make
+# a 512 KiB block.  2048-8192 time alike at 16 x 262144, wider is slower.
+GRAM_BLOCK = 4096
 
 
 @dataclass
@@ -107,6 +123,34 @@ def _subgradient_descent(X, Y, weighted, reg_c, epochs):
     return W, b
 
 
+def _gram_descent(X, Y, weighted, reg_c, epochs):
+    """``(W, b, scores)`` of the same iterates as :func:`_subgradient_descent`,
+    run on the coefficients ``A`` of ``W = A X`` through ``G = X X^T``;
+    ``scores`` are the final ``X W^T + b``.  ``X`` may be float32: only one
+    block of GRAM_BLOCK columns is cast to float64 at a time."""
+    (n, dim), k = X.shape, Y.shape[1]
+    lam = 1.0 / (reg_c * n)
+    G = np.zeros((n, n))
+    for start in range(0, dim, GRAM_BLOCK):
+        block = X[:, start:start + GRAM_BLOCK].astype(np.float64)
+        G += block @ block.T
+    A, b, coef = np.zeros((k, n)), np.zeros(k), np.empty((n, k))
+    for t in range(1, epochs + 1):
+        np.matmul(G, A.T, out=coef)
+        coef += b
+        coef *= Y  # the margins
+        np.multiply(weighted, coef < 1.0, out=coef)
+        A *= 1.0 - 1.0 / t
+        A += coef.T / (n * lam * t)
+        b -= (lam * b - coef.sum(axis=0) / n) / (lam * t)
+    scores = G @ A.T
+    scores += b
+    W = np.empty((k, dim))
+    for start in range(0, dim, GRAM_BLOCK):
+        W[:, start:start + GRAM_BLOCK] = A @ X[:, start:start + GRAM_BLOCK].astype(np.float64)
+    return W, b, scores
+
+
 def train_binary_svm(X, y, reg_c=1.0, epochs=100, weights=None):
     """Deterministic full-batch subgradient descent; returns ``(w, b)``."""
     X = np.asarray(X, dtype=np.float64)
@@ -156,7 +200,7 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
     GalleryModelSet with one rescaled model per identity, ordered by
     ascending identity id.
     """
-    X = np.asarray(descriptors, dtype=np.float64)
+    X = np.asarray(descriptors)  # the Gram form casts it block by block
     if X.ndim != 2:
         raise ShapeError(f"descriptors must be (n, dim), got shape {X.shape}")
     labels = [str(l) for l in labels]
@@ -173,10 +217,13 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
         # each positive weighs n_neg / n_pos, each negative 1
         n_pos = positive.sum(axis=0)
         weighted = np.where(positive, (len(labels) - n_pos) / n_pos, -1.0)
-    W, b = _subgradient_descent(X, Y, weighted, reg_c, epochs)
-
-    scores = X @ W.T
-    scores += b
+    if X.shape[0] < X.shape[1]:
+        W, b, scores = _gram_descent(X, Y, weighted, reg_c, epochs)
+    else:
+        X = X.astype(np.float64, copy=False)
+        W, b = _subgradient_descent(X, Y, weighted, reg_c, epochs)
+        scores = X @ W.T
+        scores += b
     rescaled = [rescale_model(LinearModel(ident, W[j], b[j]), scores[positive[:, j], j],
                               scores[~positive[:, j], j])
                 for j, ident in enumerate(identities)]

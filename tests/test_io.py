@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,12 +20,12 @@ from bilin.io import (
     BFM_MAGIC,
     BGM_MAGIC,
     FeatureMap,
+    StoreWriter,
     load_feature_map,
     load_gallery,
     load_store,
     save_feature_map,
     save_gallery,
-    save_store,
 )
 from bilin.svm import GalleryModelSet
 
@@ -47,6 +48,19 @@ class TestFeatureMapFormat:
         assert np.array_equal(loaded.values, values)
         save_feature_map(tmp_path / "again.bfm", loaded)
         assert (tmp_path / "again.bfm").read_bytes() == path.read_bytes()
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path, rng):
+        values = rng.random((27, 27, 64)).astype(np.float32)
+        path = tmp_path / "m.bfm"
+        save_feature_map(path, values, rectified=True)
+        tracemalloc.start()
+        try:
+            loaded = load_feature_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, values)
+        assert peak < 1.5 * values.nbytes
 
     def test_round_trip_small_shapes(self, tmp_path, rng):
         for shape in [(1, 1, 1), (2, 3, 4), (5, 1, 7)]:
@@ -222,10 +236,17 @@ class TestGalleryFormat:
             load_gallery(path)
 
 
+def write_store(out_dir, media_ids, descriptors):
+    with StoreWriter(out_dir, media_ids) as store:
+        for descriptor in descriptors:
+            store.write(descriptor)
+        store.commit()
+
+
 def toy_store(path, rng, n=4, dim=5):
     ids = [f"m{i}" for i in range(n)]
     descriptors = list(rng.standard_normal((n, dim)))
-    save_store(path, ids, descriptors)
+    write_store(path, ids, descriptors)
     return ids, descriptors
 
 
@@ -268,7 +289,7 @@ class TestDescriptorFiles:
     def test_only_requested_rows_are_read_and_checked(self, tmp_path, rng):
         ids, descriptors = toy_store(tmp_path, rng)
         descriptors[1][3] = np.nan
-        save_store(tmp_path, ids, descriptors)
+        write_store(tmp_path, ids, descriptors)
         assert load_store(tmp_path, [ids[0], ids[2]]).shape == (2, 5)
         with pytest.raises(CorruptFileError):
             load_store(tmp_path, [ids[0], ids[1]])
@@ -277,10 +298,10 @@ class TestDescriptorFiles:
         rows = [np.ones(5), np.ones(4)]
         for out in (tmp_path, tmp_path / "a" / "b"):
             with pytest.raises(ShapeError):
-                save_store(out, ["m0", "m1"], rows)
+                write_store(out, ["m0", "m1"], rows)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ShapeError, match="2 rows got 1"):
-            save_store(tmp_path, ["m0", "m1"], rows[:1])
+            write_store(tmp_path, ["m0", "m1"], rows[:1])
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_store_or_medium_is_config_error(self, tmp_path, rng):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bilin import svm
 from bilin.errors import DegenerateModelError, ProtocolError, ShapeError
 from bilin.svm import (
     GalleryModelSet,
@@ -201,15 +204,25 @@ class TestTrainOvr:
         for field in ("w", "b", "rescale_a", "rescale_b"):
             assert np.array_equal(getattr(g1, field), getattr(g2, field))
 
-    @pytest.mark.parametrize("balanced", [False, True])
-    def test_matches_per_identity_loop_oracle(self, rng, balanced):
+    # 28 media: the Gram form runs only when they are fewer than the dims
+    @pytest.mark.parametrize("balanced, dim, form", [
+        pytest.param(balanced, dim, form, id=str(balanced) if dim == 3 else f"{dim}-{balanced}")
+        for dim, form in ((3, "_subgradient_descent"), (28, "_subgradient_descent"),
+                          (29, "_gram_descent"), (300, "_gram_descent"))
+        for balanced in (False, True)])
+    def test_matches_per_identity_loop_oracle(self, rng, monkeypatch, balanced, dim, form):
         X, labels = blobs(rng, {"d": [1, 1, 0], "a": [2, 0, 1], "b": [-1, 0, 1],
                                 "c": [0, -2, 0]}, per=7, sigma=0.8)
         labels[3] = "c"  # uneven class sizes exercise the balance weights
+        X = np.hstack([X, rng.normal(0.0, 0.3, (len(X), dim - 3))])
+        ran, solver = [], getattr(svm, form)
+        monkeypatch.setattr(svm, form, lambda *a: ran.append(form) or solver(*a))
+        monkeypatch.setattr(svm, "GRAM_BLOCK", 64)  # several blocks, one partial
         gallery = train_ovr_svm(X, labels, reg_c=0.5, epochs=60,
                                 balanced=balanced)
         ids, W, b, a, c = ovr_loop_oracle(X, labels, reg_c=0.5, epochs=60,
                                           balanced=balanced)
+        assert ran == [form]
         assert gallery.identity_ids == ids
         np.testing.assert_allclose(gallery.w, W, rtol=1e-12,
                                    atol=1e-12 * np.abs(W).max())
@@ -217,6 +230,19 @@ class TestTrainOvr:
                                    atol=1e-12 * np.abs(b).max())
         np.testing.assert_allclose(gallery.rescale_a, a, rtol=0, atol=1e-9)
         np.testing.assert_allclose(gallery.rescale_b, c, rtol=0, atol=1e-9)
+
+    def test_few_media_train_without_a_float64_copy(self, rng):
+        n, dim = 12, 40000
+        X = rng.standard_normal((n, dim)).astype(np.float32)
+        labels = [f"id{i % 4}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            gallery = train_ovr_svm(X, labels, epochs=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gallery.w.shape == (4, dim)
+        assert peak < 8 * n * dim  # the size of a float64 copy of X
 
     def test_balanced_flag_trains(self, rng):
         X, labels = blobs(rng, {"a": [2, 0], "b": [-2, 0], "c": [0, 2]}, per=6)
