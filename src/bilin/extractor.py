@@ -7,6 +7,13 @@ are produced offline and ingested as ``.bfm`` feature maps instead.
 Convolution here means cross-correlation (no kernel flip), the usual
 CNN convention.  Patches are ``(H, W, C)`` arrays with values in
 ``[0, 1]`` after ingestion.
+
+The backward pass has two halves over one ReLU-gated upstream gradient:
+the parameter half (kernel and bias gradients) and the input half (the
+patch gradient).  ``conv_param_grads`` runs the parameter half alone,
+gated by a forward output the caller already holds, which is all
+fine-tuning needs; ``conv_backward`` runs the forward pass, gates once
+and returns both halves.
 """
 
 from dataclasses import dataclass
@@ -82,24 +89,81 @@ def _pad(x, padding):
     return np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
 
 
+def _taps(params, out_h, out_w):
+    """Each kernel tap (ki, kj) with the strided window of the padded
+    input that it meets, as (rows, cols) slices of output size."""
+    k, s = params.kernel.shape[0], params.stride
+    for ki in range(k):
+        for kj in range(k):
+            yield ki, kj, slice(ki, ki + out_h * s, s), slice(kj, kj + out_w * s, s)
+
+
+def _preactivation(padded, params, out_h, out_w):
+    pre = np.zeros((out_h, out_w, params.kernel.shape[3]))
+    for ki, kj, rows, cols in _taps(params, out_h, out_w):
+        pre += padded[rows, cols, :] @ params.kernel[ki, kj]
+    return pre + params.bias
+
+
 def conv_preactivation(x, params):
     """Cross-correlation plus bias, before rectification."""
     x, out_h, out_w = _check_input(x, params)
-    k = params.kernel.shape[0]
-    c_out = params.kernel.shape[3]
-    s = params.stride
-    padded = _pad(x, params.padding)
-    pre = np.zeros((out_h, out_w, c_out))
-    for ki in range(k):
-        for kj in range(k):
-            window = padded[ki : ki + out_h * s : s, kj : kj + out_w * s : s, :]
-            pre += window @ params.kernel[ki, kj]
-    return pre + params.bias
+    return _preactivation(_pad(x, params.padding), params, out_h, out_w)
 
 
 def conv_forward(x, params):
     """Rectified convolution output; entries are all >= 0."""
     return np.maximum(conv_preactivation(x, params), 0.0)
+
+
+def _check_backward(x, params, g_out):
+    x, out_h, out_w = _check_input(x, params)
+    g_out = np.asarray(g_out, dtype=np.float64)
+    shape = (out_h, out_w, params.kernel.shape[3])
+    if g_out.shape != shape:
+        raise ShapeError(
+            f"upstream gradient shape {g_out.shape} does not match "
+            f"output shape {shape}"
+        )
+    return x, g_out
+
+
+def _param_grads(padded, params, g_pre):
+    """Parameter half: kernel and bias gradients from the gated gradient."""
+    out_h, out_w, c_out = g_pre.shape
+    g_kernel = np.zeros_like(params.kernel)
+    flat_g = g_pre.reshape(-1, c_out)
+    for ki, kj, rows, cols in _taps(params, out_h, out_w):
+        window = padded[rows, cols, :]
+        g_kernel[ki, kj] = window.reshape(-1, window.shape[2]).T @ flat_g
+    return g_kernel, g_pre.sum(axis=(0, 1))
+
+
+def _input_grad(in_shape, padded, params, g_pre):
+    """Input half: the patch gradient from the gated gradient."""
+    g_padded = np.zeros_like(padded)
+    for ki, kj, rows, cols in _taps(params, *g_pre.shape[:2]):
+        g_padded[rows, cols, :] += g_pre @ params.kernel[ki, kj].T
+    p = params.padding
+    return g_padded[p : p + in_shape[0], p : p + in_shape[1], :] if p else g_padded
+
+
+def conv_param_grads(x, params, fmap, g_out):
+    """Gradients w.r.t. kernel and bias only, gated by a held forward output.
+
+    ``fmap`` must be ``conv_forward(x, params)``: ``fmap > 0`` is then the
+    same mask as ``pre > 0``, so the forward pass is not run again, and
+    the patch gradient is not formed.  ``fmap`` and ``g_out`` must have
+    the output shape.
+    """
+    x, g_out = _check_backward(x, params, g_out)
+    fmap = np.asarray(fmap)
+    if fmap.shape != g_out.shape:
+        raise ShapeError(
+            f"feature map shape {fmap.shape} does not match "
+            f"output shape {g_out.shape}"
+        )
+    return _param_grads(_pad(x, params.padding), params, g_out * (fmap > 0.0))
 
 
 def conv_backward(x, params, g_out):
@@ -108,33 +172,11 @@ def conv_backward(x, params, g_out):
     ``g_out`` must have the shape of ``conv_forward(x, params)``.
     Positions where the pre-activation is <= 0 contribute nothing.
     """
-    x, out_h, out_w = _check_input(x, params)
-    g_out = np.asarray(g_out, dtype=np.float64)
-    c_out = params.kernel.shape[3]
-    if g_out.shape != (out_h, out_w, c_out):
-        raise ShapeError(
-            f"upstream gradient shape {g_out.shape} does not match "
-            f"output shape {(out_h, out_w, c_out)}"
-        )
-    k = params.kernel.shape[0]
-    s = params.stride
+    x, g_out = _check_backward(x, params, g_out)
     padded = _pad(x, params.padding)
-
-    g_pre = g_out * (conv_preactivation(x, params) > 0.0)
-    g_bias = g_pre.sum(axis=(0, 1))
-    g_kernel = np.zeros_like(params.kernel)
-    g_padded = np.zeros_like(padded)
-    flat_g = g_pre.reshape(-1, c_out)
-    for ki in range(k):
-        for kj in range(k):
-            rows = slice(ki, ki + out_h * s, s)
-            cols = slice(kj, kj + out_w * s, s)
-            window = padded[rows, cols, :]
-            g_kernel[ki, kj] = window.reshape(-1, window.shape[2]).T @ flat_g
-            g_padded[rows, cols, :] += g_pre @ params.kernel[ki, kj].T
-    p = params.padding
-    g_x = g_padded[p : p + x.shape[0], p : p + x.shape[1], :] if p else g_padded
-    return g_x, g_kernel, g_bias
+    g_pre = g_out * (_preactivation(padded, params, *g_out.shape[:2]) > 0.0)
+    g_kernel, g_bias = _param_grads(padded, params, g_pre)
+    return _input_grad(x.shape, padded, params, g_pre), g_kernel, g_bias
 
 
 def ingest_patch(values, out_hw=None):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoder import encode, encode_backward_shared
 from .errors import DataError, DivergenceError
-from .extractor import ConvParams, conv_backward, conv_forward
+from .extractor import conv_forward, conv_param_grads
 
 # Absolute validation-error improvement below this counts as "no change"
 # for the learning-rate schedule.
@@ -184,7 +184,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
                 if mask is not None:
                     g_desc = g_desc * mask
                 g_fmap = encode_backward_shared(fmap, g_desc)
-                _, g_k, g_cb = conv_backward(patches[i], extractor, g_fmap)
+                g_k, g_cb = conv_param_grads(patches[i], extractor, fmap, g_fmap)
                 g_kernel += g_k
                 g_bias += g_cb
             scale = 1.0 / len(batch)

@@ -121,6 +121,12 @@ def load_feature_map(path):
         n = h * w * c
         if n > MAX_MAP_ELEMENTS:
             raise BoundsError(f"{path}: {h}x{w}x{c} exceeds the format limit")
+        # size the payload before allocating what the header declares
+        size = os.fstat(f.fileno()).st_size - 20
+        if size < 4 * n:
+            raise CorruptFileError(
+                f"{path}: header declares {n} floats, payload holds {size // 4}"
+            )
         values = np.empty((h, w, c), dtype="<f4")
         got = f.readinto(values)
         if got != 4 * n or f.read(1):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilin.errors import ProtocolError, ShapeError
 from bilin.evaluate import (
@@ -37,6 +39,16 @@ def probe_template(tid, subject, n_media):
     media = [MediaItem(f"{tid}m{i}", "frame", f"{tid}m{i}.bfm", tid)
              for i in range(n_media)]
     return Template(tid, subject, media)
+
+
+# Random open-set probe results, drawn through the conftest generator.
+probe_results = st.builds(
+    lambda seed, n_ids, n_probes: random_probe_results(
+        np.random.default_rng(seed), n_ids, n_probes),
+    st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 20),
+)
+curve_props = settings(max_examples=200, derandomize=True, database=None,
+                       deadline=None)
 
 
 class TestPoolFeatures:
@@ -165,6 +177,14 @@ class TestCmc:
             assert curve.mated_probe_count == count
             np.testing.assert_array_equal(curve.recall_at_rank, expected)
 
+    @curve_props
+    @given(results=probe_results, max_rank=st.integers(1, 12))
+    def test_property_monotone_bounded_and_oracle(self, results, max_rank):
+        recall = compute_cmc(results, max_rank=max_rank).recall_at_rank
+        assert np.all(np.diff(recall) >= 0)
+        assert recall.min() >= 0.0 and recall.max() <= 1.0
+        np.testing.assert_array_equal(recall, cmc_oracle(results, max_rank)[0])
+
     def test_impostors_excluded(self):
         results = [
             make_result("t1", "a", {"a": 1.0, "b": 0.0}),
@@ -215,6 +235,19 @@ class TestDet:
             fpir, fnir = det_oracle(results, det.thresholds)
             np.testing.assert_array_equal(det.fpir, fpir)
             np.testing.assert_array_equal(det.fnir, fnir)
+
+    @curve_props
+    @given(results=probe_results,
+           thresholds=st.one_of(st.none(), st.lists(
+               st.floats(-4.0, 4.0).map(lambda t: round(t, 3)),
+               min_size=1, max_size=12)))
+    def test_property_fpir_non_increasing_and_oracle(self, results, thresholds):
+        det = compute_det(results, thresholds=thresholds)
+        assert np.all(np.diff(det.thresholds) >= 0)
+        assert np.all(np.diff(det.fpir) <= 0)
+        fpir, fnir = det_oracle(results, det.thresholds)
+        np.testing.assert_array_equal(det.fpir, fpir)
+        np.testing.assert_array_equal(det.fnir, fnir)
 
     def test_requires_impostors_and_mated(self):
         mated_only = [make_result("m", "a", {"a": 1.0})]

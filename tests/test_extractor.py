@@ -8,6 +8,7 @@ from bilin.extractor import (
     conv_backward,
     conv_forward,
     conv_output_shape,
+    conv_param_grads,
     ingest_patch,
     init_conv_params,
 )
@@ -165,6 +166,51 @@ class TestConvBackward:
         p = make_conv(0, k=2, c_in=2, c_out=3)
         with pytest.raises(ShapeError):
             conv_backward(x, p, np.zeros((2, 2, 3)))
+
+
+class TestConvParamGrads:
+    """The parameter half alone equals conv_backward's kernel and bias
+    gradients bit for bit."""
+
+    def assert_halves_agree(self, x, p, g_out):
+        _, g_k, g_b = conv_backward(x, p, g_out)
+        k_only, b_only = conv_param_grads(x, p, conv_forward(x, p), g_out)
+        assert k_only.tobytes() == g_k.tobytes()
+        assert b_only.tobytes() == g_b.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_conv_backward(self, rng, k, stride, padding):
+        x = rng.random((7, 6, 3))
+        # a zero-mean bias leaves a mix of live and ReLU-dead positions
+        p = ConvParams(rng.standard_normal((k, k, 3, 4)),
+                       rng.standard_normal(4), stride, padding)
+        fmap = conv_forward(x, p)
+        assert (fmap == 0.0).any() and (fmap > 0.0).any()
+        self.assert_halves_agree(x, p, rng.standard_normal(fmap.shape))
+
+    def test_all_positions_dead(self, rng):
+        x = rng.random((5, 5, 2))
+        p = ConvParams(rng.standard_normal((2, 2, 2, 3)), np.full(3, -1e9))
+        self.assert_halves_agree(x, p, rng.standard_normal((4, 4, 3)))
+
+    def test_zero_upstream_gradient(self, rng):
+        x = rng.random((5, 5, 2))
+        p = make_conv(6, k=3, c_in=2, c_out=3)
+        g_out = np.zeros((3, 3, 3))
+        self.assert_halves_agree(x, p, g_out)
+        g_k, g_b = conv_param_grads(x, p, conv_forward(x, p), g_out)
+        assert not g_k.any() and not g_b.any()
+
+    @pytest.mark.parametrize("which", ["fmap", "g_out"])
+    def test_shape_mismatch_raises(self, rng, which):
+        x = rng.random((4, 4, 2))
+        p = make_conv(0, k=2, c_in=2, c_out=3)
+        args = {"fmap": conv_forward(x, p), "g_out": np.zeros((3, 3, 3))}
+        args[which] = np.zeros((2, 3, 3))
+        with pytest.raises(ShapeError):
+            conv_param_grads(x, p, args["fmap"], args["g_out"])
 
 
 class TestEndToEndGradient:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from bilin import extractor as extractor_module
 from bilin import finetune
 from bilin.errors import DataError, DivergenceError
-from bilin.extractor import init_conv_params
+from bilin.extractor import conv_backward, init_conv_params
 from bilin.finetune import (
     TrainConfig,
     finetune_softmax,
@@ -180,6 +181,39 @@ class TestSchedule:
         # reusing the training pass's error decays the rates as before
         assert trace == val_trace
         assert np.array_equal(head.weights, val_head.weights)
+
+
+class TestExtractorGradients:
+    """Finetune uses only the kernel and bias gradients of the conv layer."""
+
+    cfg = TrainConfig(epochs=3, batch_size=4, seed=5, patience=1)
+
+    def run(self, toy):
+        extractor, head = fresh_stack()
+        return finetune_softmax(extractor, head, *toy, self.cfg)
+
+    def test_outputs_equal_those_from_full_backward(self, toy, monkeypatch):
+        ext, head, trace = self.run(toy)
+
+        def from_full_backward(x, params, fmap, g_out):
+            return conv_backward(x, params, g_out)[1:]
+
+        monkeypatch.setattr(finetune, "conv_param_grads", from_full_backward)
+        ext_full, head_full, trace_full = self.run(toy)
+        assert ext.kernel.tobytes() == ext_full.kernel.tobytes()
+        assert ext.bias.tobytes() == ext_full.bias.tobytes()
+        assert head.weights.tobytes() == head_full.weights.tobytes()
+        assert head.bias.tobytes() == head_full.bias.tobytes()
+        assert trace == trace_full
+
+    def test_input_gradient_is_never_computed(self, toy, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("finetune computed the patch gradient")
+
+        monkeypatch.setattr(extractor_module, "_input_grad", forbidden)
+        monkeypatch.setattr(extractor_module, "conv_backward", forbidden)
+        _, _, trace = self.run(toy)
+        assert len(trace) == self.cfg.epochs + 1
 
 
 class TestValidation:

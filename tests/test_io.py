@@ -19,6 +19,7 @@ from bilin.errors import (
 from bilin.io import (
     BFM_MAGIC,
     BGM_MAGIC,
+    MAX_MAP_ELEMENTS,
     FeatureMap,
     StoreWriter,
     load_feature_map,
@@ -80,6 +81,19 @@ class TestFeatureMapFormat:
         write_bfm(path, 4, 4, 3, 0, np.zeros(49))
         with pytest.raises(CorruptFileError):
             load_feature_map(path)
+
+    def test_missing_payload_is_corruption_before_allocating(self, tmp_path):
+        path = tmp_path / "stub.bfm"
+        write_bfm(path, 2**14, 2**7, 2**7, 0, [])
+        assert 2**14 * 2**7 * 2**7 == MAX_MAP_ELEMENTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="header declares"):
+                load_feature_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_all_zero_payload_is_accepted(self, tmp_path):
         path = tmp_path / "zero.bfm"
