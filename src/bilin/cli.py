@@ -2,11 +2,17 @@
 
 Subcommands: synth, encode, finetune, train-gallery, eval, plot.
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numeric
-failure.  Every value may come from a ``--config`` file of key=value
-lines; explicit flags win over the file, and the BILIN_SEED environment
-variable overrides the seed from either source.  Each output directory
-receives a ``run_config.txt`` recording the exact resolved settings
-that produced it.
+failure.
+
+Each option's type and default are declared once, in
+:func:`build_parser`.  Every option but the required paths may also come
+from a ``--config`` file of ``key=value`` lines, the key being the
+option's name without its dashes: a switch takes ``true`` or ``false``,
+a key the stage does not declare is ignored, and explicit flags win over
+the file.  The BILIN_SEED environment variable overrides the seed from
+either source.  Each output directory receives a ``run_config.txt``
+holding the command and every option of the stage that has a value, in
+the same ``key=value`` form.
 """
 
 import argparse
@@ -38,9 +44,16 @@ from .io import MANIFEST_FILE, StoreWriter, load_feature_map, load_gallery, load
 from .svm import train_ovr_svm
 
 
-def load_config_file(path):
-    values = {}
-    with open(path, encoding="utf-8") as f:
+def config_defaults(stage, path):
+    """The ``key=value`` lines of a config file, each cast as ``stage``
+    casts the flag of the same name.
+
+    A key is an option's name without its dashes; keys the stage does not
+    declare are ignored, and a switch takes true or false.
+    """
+    values, defaults = {}, {}
+    # a byte that is not UTF-8 spoils only its own value
+    with open(path, encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -49,52 +62,36 @@ def load_config_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
-    return values
+    for action in stage._actions:
+        key = action.dest.replace("_", "-")
+        if key not in values or key in ("help", "config"):
+            continue
+        text = values[key]
+        try:
+            if action.nargs == 0:  # a switch
+                if text.lower() not in ("true", "false"):
+                    raise ValueError(f"expected true or false, got {text!r}")
+                value = text.lower() == "true"
+            else:
+                value = (action.type or str)(text)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key}: {value!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}")
+        defaults[action.dest] = value
+    return defaults
 
 
-class Settings:
-    """Flag > config file > default resolution, with provenance."""
-
-    def __init__(self, args):
-        self.args = args
-        self.file_values = (
-            load_config_file(args.config) if getattr(args, "config", None) else {}
-        )
-        self.resolved = {}
-
-    def get(self, name, default, cast=str):
-        flag = getattr(self.args, name.replace("-", "_"), None)
-        if flag is not None:
-            value = flag
-        elif name in self.file_values:
-            try:
-                value = cast(self.file_values[name])
-            except ValueError as exc:
-                raise ConfigError(f"config key {name}: {exc}") from None
-        else:
-            value = default
-        self.resolved[name] = value
-        return value
-
-    def seed(self, default=0):
-        value = self.get("seed", default, int)
-        env = os.environ.get("BILIN_SEED")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(f"BILIN_SEED must be an integer, got {env!r}")
-            self.resolved["seed"] = value
-        return value
-
-
-def write_run_config(out_dir, command, resolved):
-    out_dir = Path(out_dir)
+def write_run_config(args):
+    """``run_config.txt`` in ``args.out``: the command, then every option
+    of the stage that has a value, one ``key=value`` line each."""
+    options = {dest.replace("_", "-"): value for dest, value in vars(args).items()
+               if dest not in ("command", "config", "func") and value is not None}
+    lines = [f"command={args.command}"] + [f"{k}={options[k]}" for k in sorted(options)]
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"command={command}"]
-    lines += [f"{k}={resolved[k]}" for k in sorted(resolved)]
-    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n",
-                                            encoding="utf-8")
+    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _parse_map_dims(text):
@@ -105,50 +102,40 @@ def _parse_map_dims(text):
         raise ConfigError(f"map-dims must look like 12x12x8, got {text!r}") from None
 
 
-def _metadata_path(data_dir):
+def _read_dataset(data_dir, check_files):
     path = Path(data_dir) / "metadata.csv"
     if not path.exists():
         raise ConfigError(f"no metadata.csv under {data_dir}")
-    return path
+    return protocol.read_metadata(path, check_files=check_files)
 
 
-def _read_dataset(args):
-    return protocol.read_metadata(
-        _metadata_path(args.data if hasattr(args, "data") else args.input),
-        check_files=bool(getattr(args, "check_files", False)),
-    )
-
-
-def _split_indices(splits, requested):
-    available = [s.split_index for s in splits]
+def _select_splits(splits, requested):
+    """Every split, or only the one with index ``requested``."""
     if requested is None:
-        return available
-    if requested not in available:
-        raise ConfigError(
-            f"split {requested} not in dataset (has {available})"
-        )
-    return [requested]
+        return splits
+    chosen = [s for s in splits if s.split_index == requested]
+    if not chosen:
+        raise ConfigError(f"split {requested} not in dataset "
+                          f"(has {[s.split_index for s in splits]})")
+    return chosen
 
 
 # ---------------------------------------------------------------- synth
 
 
 def cmd_synth(args):
-    settings = Settings(args)
     cfg = protocol.SynthConfig(
-        num_identities=settings.get("identities", 8, int),
-        templates_per_identity=settings.get("templates", 20, int),
-        media_per_template=settings.get("media", 4, int),
-        map_dims=_parse_map_dims(settings.get("map-dims", "12x12x8")),
-        impostor_fraction=settings.get("impostor-fraction", 0.25, float),
-        noise_sigma=settings.get("noise-sigma", 0.1, float),
-        seed=settings.seed(),
-        num_splits=settings.get("splits", 10, int),
+        num_identities=args.identities,
+        templates_per_identity=args.templates,
+        media_per_template=args.media,
+        map_dims=_parse_map_dims(args.map_dims),
+        impostor_fraction=args.impostor_fraction,
+        noise_sigma=args.noise_sigma,
+        seed=args.seed,
+        num_splits=args.splits,
     )
-    cfg.validate()
-    settings.resolved["out"] = args.out
     splits = protocol.synth_generate(cfg, args.out)
-    write_run_config(args.out, "synth", settings.resolved)
+    write_run_config(args)
     n_media = sum(len(list(s.all_media())) for s in splits)
     print(f"synth: wrote {len(splits)} split(s), {n_media} media under {args.out}")
     return 0
@@ -157,20 +144,10 @@ def cmd_synth(args):
 # --------------------------------------------------------------- encode
 
 
-def _ordered_media(splits):
-    media = []
-    for split in splits:
-        media.extend(split.all_media())
-    return media
-
-
 def cmd_encode(args):
-    settings = Settings(args)
-    settings.resolved.update(input=args.input, out=args.out,
-                             force=bool(args.force))
     data_dir = Path(args.input)
-    splits = _read_dataset(args)
-    media = _ordered_media(splits)
+    splits = _read_dataset(args.input, args.check_files)
+    media = [m for split in splits for m in split.all_media()]
 
     out_dir = Path(args.out)
     manifest_path = out_dir / MANIFEST_FILE
@@ -204,7 +181,7 @@ def cmd_encode(args):
         if mixed_dims:
             raise mixed_dims
         store.commit()
-    write_run_config(out_dir, "encode", settings.resolved)
+    write_run_config(args)
     print(f"encode: wrote {len(media)} descriptors under {out_dir}")
     return 0
 
@@ -220,33 +197,24 @@ def _load_descriptors_for(media, desc_dir, what):
 
 
 def cmd_finetune(args):
-    settings = Settings(args)
-    split_index = settings.get("split", 1, int)
     cfg = TrainConfig(
-        lr_lower=settings.get("lr-lower", 0.001, float),
-        lr_last=settings.get("lr-last", 0.01, float),
-        lr_decay_factor=settings.get("decay-factor", 10.0, float),
-        epochs=settings.get("epochs", 20, int),
-        dropout_rate=settings.get("dropout", 0.5, float),
-        batch_size=settings.get("batch-size", 8, int),
-        seed=settings.seed(),
-        patience=settings.get("patience", 3, int),
+        lr_lower=args.lr_lower,
+        lr_last=args.lr_last,
+        lr_decay_factor=args.decay_factor,
+        epochs=args.epochs,
+        dropout_rate=args.dropout,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        patience=args.patience,
     )
-    kernel_size = settings.get("kernel-size", 3, int)
-    out_channels = settings.get("out-channels", 4, int)
-    settings.resolved.update(data=args.data, out=args.out)
+    cfg.validate()  # before its seed seeds the extractor and the head
 
     data_dir = Path(args.data)
-    splits = _read_dataset(args)
-    matches = [s for s in splits if s.split_index == split_index]
-    if not matches:
-        raise ConfigError(f"split {split_index} not in dataset")
-    split = matches[0]
+    (split,) = _select_splits(_read_dataset(args.data, args.check_files), args.split)
     if not split.train:
-        raise DataError(f"split {split_index} has no train templates")
+        raise DataError(f"split {args.split} has no train templates")
 
     # stored maps double as training patches after min-max ingestion
-    settings.resolved["ingest"] = "min-max scale, nearest-neighbor resize"
     patches, subjects = [], []
     for template in sorted(split.train, key=lambda t: t.template_id):
         for item in template.media:
@@ -259,9 +227,9 @@ def cmd_finetune(args):
     labels = [classes.index(s) for s in subjects]
 
     extractor = init_conv_params(
-        kernel_size, patches[0].shape[2], out_channels, seed=cfg.seed
+        args.kernel_size, patches[0].shape[2], args.out_channels, seed=cfg.seed
     )
-    head = init_softmax_head(len(classes), out_channels**2, seed=cfg.seed)
+    head = init_softmax_head(len(classes), args.out_channels**2, seed=cfg.seed)
     extractor, head, trace = finetune_softmax(
         extractor, head, patches, labels, cfg
     )
@@ -278,7 +246,7 @@ def cmd_finetune(args):
     with open(out_dir / "loss_trace.json", "w", encoding="utf-8") as f:
         json.dump(trace, f)
         f.write("\n")
-    write_run_config(out_dir, "finetune", settings.resolved)
+    write_run_config(args)
     print(
         f"finetune: loss {trace[0]:.4f} -> {trace[-1]:.4f} "
         f"over {cfg.epochs} epochs ({len(patches)} samples, "
@@ -291,34 +259,25 @@ def cmd_finetune(args):
 
 
 def cmd_train_gallery(args):
-    settings = Settings(args)
-    reg_c = settings.get("reg-c", 1.0, float)
-    epochs = settings.get("epochs", 100, int)
-    settings.seed()  # recorded in run_config.txt; the solver is deterministic
-    balanced = bool(args.balanced)
-    settings.resolved.update(balanced=balanced, data=args.data,
-                             descriptors=args.descriptors, out=args.out)
-
-    splits = _read_dataset(args)
+    # --seed is only recorded in run_config.txt: the solver is deterministic
+    splits = _read_dataset(args.data, args.check_files)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for index in _split_indices(splits, args.split):
-        split = next(s for s in splits if s.split_index == index)
+    for split in _select_splits(splits, args.split):
+        index = split.split_index
         if not split.gallery:
             raise DataError(f"split {index} has no gallery templates")
-        media, labels = [], []
-        for template in sorted(split.gallery, key=lambda t: t.template_id):
-            for item in template.media:
-                media.append(item)
-                labels.append(template.subject_id)
+        templates = sorted(split.gallery, key=lambda t: t.template_id)
+        media = [m for t in templates for m in t.media]
+        labels = [t.subject_id for t in templates for _ in t.media]
         X = _load_descriptors_for(media, args.descriptors, "gallery")
-        gallery = train_ovr_svm(X, labels, reg_c=reg_c, epochs=epochs,
-                                balanced=balanced)
+        gallery = train_ovr_svm(X, labels, reg_c=args.reg_c, epochs=args.epochs,
+                                balanced=args.balanced)
         path = out_dir / f"gallery_s{index:02d}.bgm"
         save_gallery(path, gallery)
         print(f"train-gallery: split {index}: {len(gallery.identity_ids)} models -> {path}")
-    write_run_config(out_dir, "train-gallery", settings.resolved)
+    write_run_config(args)
     return 0
 
 
@@ -326,24 +285,13 @@ def cmd_train_gallery(args):
 
 
 def cmd_eval(args):
-    settings = Settings(args)
-    pooling = settings.get("pooling", "score")
-    if pooling not in ("score", "feature"):
-        raise ConfigError(f"pooling must be score or feature, got {pooling!r}")
-    max_rank = settings.get("max-rank", 100, int)
-    rank1_conditioned = bool(args.fnir_rank1)
-    settings.resolved.update(
-        {"fnir-rank1": rank1_conditioned, "data": args.data,
-         "descriptors": args.descriptors, "models": args.models,
-         "out": args.out})
-
-    splits = _read_dataset(args)
+    splits = _read_dataset(args.data, args.check_files)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summaries = {}
-    for index in _split_indices(splits, args.split):
-        split = next(s for s in splits if s.split_index == index)
+    for split in _select_splits(splits, args.split):
+        index = split.split_index
         model_path = Path(args.models) / f"gallery_s{index:02d}.bgm"
         if not model_path.exists():
             raise ConfigError(
@@ -358,8 +306,8 @@ def cmd_eval(args):
                               f"!= gallery dim {gallery.descriptor_dim} of {model_path}")
         table = dict(zip((m.media_id for m in probe_media), probes))
         _, cmc, det, summary = evaluate.evaluate_split(
-            split, gallery, table, strategy=pooling, max_rank=max_rank,
-            rank1_conditioned=rank1_conditioned,
+            split, gallery, table, strategy=args.pooling, max_rank=args.max_rank,
+            rank1_conditioned=args.fnir_rank1,
         )
         evaluate.write_cmc_csv(cmc, out_dir / f"cmc_s{index:02d}.csv")
         evaluate.write_det_csv(det, out_dir / f"det_s{index:02d}.csv")
@@ -367,7 +315,7 @@ def cmd_eval(args):
 
     aggregate = evaluate.aggregate_summaries(summaries)
     evaluate.write_summary_json(aggregate, out_dir / "summary.json")
-    write_run_config(out_dir, "eval", settings.resolved)
+    write_run_config(args)
     mean = aggregate["mean"]
     print(
         f"eval: {len(summaries)} split(s), mean rank1 {mean['rank1']:.3f}, "
@@ -404,10 +352,8 @@ def _read_csv_columns(path, names):
 
 
 def cmd_plot(args):
-    settings = Settings(args)
     if not args.cmc and not args.det:
         raise ConfigError("nothing to plot: pass --cmc and/or --det")
-    settings.resolved.update(cmc=args.cmc, det=args.det, out=args.out)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -431,7 +377,7 @@ def cmd_plot(args):
         )
         (out_dir / "det.svg").write_text(chart, encoding="utf-8")
         written.append("det.svg")
-    write_run_config(out_dir, "plot", settings.resolved)
+    write_run_config(args)
     print(f"plot: wrote {', '.join(written)} under {out_dir}")
     return 0
 
@@ -440,6 +386,8 @@ def cmd_plot(args):
 
 
 def build_parser():
+    """The ``bilin`` parser, and its stage parsers by name.  Each option's
+    type and default are declared here and nowhere else."""
     parser = argparse.ArgumentParser(
         prog="bilin",
         description="Bilinear encoding and open-set identification pipelines.",
@@ -449,14 +397,14 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--identities", type=int)
-    p.add_argument("--templates", type=int)
-    p.add_argument("--media", type=int)
-    p.add_argument("--map-dims")
-    p.add_argument("--impostor-fraction", type=float)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--splits", type=int)
+    p.add_argument("--identities", type=int, default=8)
+    p.add_argument("--templates", type=int, default=20)
+    p.add_argument("--media", type=int, default=4)
+    p.add_argument("--map-dims", default="12x12x8")
+    p.add_argument("--impostor-fraction", type=float, default=0.25)
+    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--splits", type=int, default=10)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="encode feature maps to descriptors")
@@ -472,17 +420,17 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--check-files", action="store_true")
-    p.add_argument("--split", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr-lower", type=float)
-    p.add_argument("--lr-last", type=float)
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--kernel-size", type=int)
-    p.add_argument("--out-channels", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--split", type=int, default=1)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--lr-lower", type=float, default=0.001)
+    p.add_argument("--lr-last", type=float, default=0.01)
+    p.add_argument("--decay-factor", type=float, default=10.0)
+    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--kernel-size", type=int, default=3)
+    p.add_argument("--out-channels", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("train-gallery", help="train one-vs-rest gallery SVMs")
@@ -492,10 +440,10 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--check-files", action="store_true")
     p.add_argument("--split", type=int)
-    p.add_argument("--reg-c", type=float)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--reg-c", type=float, default=1.0)
+    p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--balanced", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_gallery)
 
     p = sub.add_parser("eval", help="open-set 1:N evaluation")
@@ -506,9 +454,9 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--check-files", action="store_true")
     p.add_argument("--split", type=int)
-    p.add_argument("--pooling", choices=["score", "feature"])
+    p.add_argument("--pooling", choices=["score", "feature"], default="score")
     p.add_argument("--fnir-rank1", action="store_true")
-    p.add_argument("--max-rank", type=int)
+    p.add_argument("--max-rank", type=int, default=100)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render CMC/DET CSVs as SVG charts")
@@ -518,20 +466,29 @@ def build_parser():
     p.add_argument("--config")
     p.set_defaults(func=cmd_plot)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, stages = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_help()
-        return 2
-    try:
+        if not args.command:
+            parser.print_help()
+            return 2
+        if args.config:
+            stage = stages[args.command]
+            stage.set_defaults(**config_defaults(stage, args.config))
+            args = parser.parse_args(argv)  # flags still win over the file
+        seed = os.environ.get("BILIN_SEED")
+        if seed is not None and hasattr(args, "seed"):
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                raise ConfigError(f"BILIN_SEED must be an integer, got {seed!r}") from None
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return int(exc.code or 0)
     except (ConfigError, DataError, ProtocolError, ShapeError) as exc:
         print(f"bilin: config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError, ShapeError
+from .errors import ConfigError, ProtocolError, ShapeError
 
 
 def pool_features(descriptors):
@@ -123,6 +123,8 @@ class CmcCurve:
 
 
 def compute_cmc(results, max_rank=100):
+    if max_rank < 1:
+        raise ConfigError(f"max_rank must be at least 1, got {max_rank}")
     ranks = [r.rank_of_true() for r in results if r.mated]
     if not ranks:
         raise ProtocolError("CMC needs at least one mated probe")
@@ -140,12 +142,6 @@ class DetCurve:
     thresholds: np.ndarray
     fpir: np.ndarray
     fnir: np.ndarray
-    impostor_count: int
-    mated_count: int
-
-    @property
-    def points(self):
-        return list(zip(self.thresholds, self.fpir, self.fnir))
 
 
 def compute_det(results, thresholds=None, rank1_conditioned=False):
@@ -183,8 +179,6 @@ def compute_det(results, thresholds=None, rank1_conditioned=False):
         thresholds=grid,
         fpir=false_alarms / impostor_best.size,
         fnir=misses / len(mated),
-        impostor_count=int(impostor_best.size),
-        mated_count=len(mated),
     )
 
 
@@ -275,7 +269,7 @@ def write_det_csv(curve, path):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["threshold", "fpir", "fnir"])
-        for t, fp, fn in curve.points:
+        for t, fp, fn in zip(curve.thresholds, curve.fpir, curve.fnir):
             writer.writerow([repr(float(t)), repr(float(fp)), repr(float(fn))])
 
 

@@ -50,6 +50,9 @@ def init_conv_params(kernel_size, c_in, c_out, stride=1, padding=0, seed=0):
     Kernel entries are zero-mean Gaussian with standard deviation
     ``sqrt(2 / (k * k * c_in))``; biases start at zero.
     """
+    if min(kernel_size, c_in, c_out) < 1:
+        raise ShapeError(f"kernel size and channel counts must be positive, got "
+                         f"kernel {kernel_size}, {c_in} in, {c_out} out")
     rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 / (kernel_size * kernel_size * c_in))
     kernel = rng.normal(0.0, std, size=(kernel_size, kernel_size, c_in, c_out))
@@ -179,25 +182,16 @@ def conv_backward(x, params, g_out):
     return _input_grad(x.shape, padded, params, g_pre), g_kernel, g_bias
 
 
-def ingest_patch(values, out_hw=None):
+def ingest_patch(values):
     """Turn a raw array into a patch with entries in [0, 1].
 
-    Optionally resizes to ``out_hw = (H, W)`` by nearest-neighbor
-    sampling, deliberately not preserving the aspect ratio.  Values are
-    then min-max scaled into [0, 1]; a constant array maps to zeros.
+    Values are min-max scaled into [0, 1]; a constant array maps to zeros.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ShapeError(f"expected 2-D or 3-D array, got shape {arr.shape}")
-    if out_hw is not None:
-        out_h, out_w = out_hw
-        if out_h < 1 or out_w < 1:
-            raise ShapeError("target size must be positive")
-        rows = (np.arange(out_h) * arr.shape[0] // out_h).clip(0, arr.shape[0] - 1)
-        cols = (np.arange(out_w) * arr.shape[1] // out_w).clip(0, arr.shape[1] - 1)
-        arr = arr[rows][:, cols]
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
         return np.zeros_like(arr)

@@ -67,16 +67,19 @@ class TrainConfig:
     patience: int = 3
 
     def validate(self):
-        if self.lr_lower < 0 or self.lr_last < 0:
-            raise DataError("learning rates must be non-negative")
-        if self.lr_decay_factor <= 1:
-            raise DataError("lr_decay_factor must exceed 1")
+        rates = (self.lr_lower, self.lr_last)
+        if not (np.isfinite(rates).all() and min(rates) >= 0):
+            raise DataError("learning rates must be finite and non-negative")
+        if not (np.isfinite(self.lr_decay_factor) and self.lr_decay_factor > 1):
+            raise DataError("lr_decay_factor must be finite and exceed 1")
         if not 0 <= self.dropout_rate < 1:
             raise DataError("dropout_rate must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise DataError("epochs and batch_size must be positive")
         if self.patience < 1:
             raise DataError("patience must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
 
 
 def _log_softmax(logits):

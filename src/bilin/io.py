@@ -68,18 +68,6 @@ class FeatureMap:
     values: np.ndarray
     rectified: bool = False
 
-    @property
-    def height(self):
-        return self.values.shape[0]
-
-    @property
-    def width(self):
-        return self.values.shape[1]
-
-    @property
-    def channels(self):
-        return self.values.shape[2]
-
     def validate(self):
         if self.values.ndim != 3:
             raise FormatError(f"expected 3-D values, got shape {self.values.shape}")

@@ -57,11 +57,8 @@ class Split:
     def templates(self, role):
         return getattr(self, role)
 
-    def gallery_subjects(self):
-        return {t.subject_id for t in self.gallery}
-
     def impostor_probes(self):
-        enrolled = self.gallery_subjects()
+        enrolled = {t.subject_id for t in self.gallery}
         return [t for t in self.probe if t.subject_id not in enrolled]
 
     def all_media(self):
@@ -172,73 +169,6 @@ def read_metadata(path, check_files=False):
     return [splits[i] for i in sorted(splits)]
 
 
-def load_split(path, split_index, check_files=False):
-    for split in read_metadata(path, check_files=check_files):
-        if split.split_index == split_index:
-            return split
-    raise MetadataError(f"{path}: no split with index {split_index}")
-
-
-@dataclass
-class SplitReport:
-    """Counts and invariant violations for one split; pure inspection."""
-
-    split_index: int
-    identity_counts: dict
-    template_counts: dict
-    media_counts: dict
-    impostor_count: int
-    train_gallery_overlap: int
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def validate_split(split):
-    identity_counts = {}
-    template_counts = {}
-    media_counts = {}
-    violations = []
-    for role in ROLES:
-        templates = split.templates(role)
-        identity_counts[role] = len({t.subject_id for t in templates})
-        template_counts[role] = len(templates)
-        media_counts[role] = sum(len(t.media) for t in templates)
-        for t in templates:
-            if not t.media:
-                violations.append(f"{role} template {t.template_id!r} has no media")
-
-    if not split.gallery:
-        violations.append("gallery is empty")
-    if not split.probe:
-        violations.append("probe set is empty")
-
-    enrolled = [t.subject_id for t in split.gallery]
-    for subject in sorted(set(enrolled)):
-        n = enrolled.count(subject)
-        if n > 1:
-            violations.append(
-                f"subject {subject!r} enrolled in {n} gallery templates"
-            )
-
-    impostors = {t.subject_id for t in split.impostor_probes()}
-    if split.probe and not impostors:
-        violations.append("no impostor probes (open-set violation)")
-
-    overlap = {t.subject_id for t in split.train} & split.gallery_subjects()
-    return SplitReport(
-        split_index=split.split_index,
-        identity_counts=identity_counts,
-        template_counts=template_counts,
-        media_counts=media_counts,
-        impostor_count=len(impostors),
-        train_gallery_overlap=len(overlap),
-        violations=violations,
-    )
-
-
 @dataclass
 class SynthConfig:
     """Controls the synthetic channel-correlation dataset generator."""
@@ -263,8 +193,10 @@ class SynthConfig:
             raise ConfigError(f"bad map_dims {self.map_dims!r}")
         if not 0.0 < self.impostor_fraction < 1.0:
             raise ConfigError("impostor_fraction must lie strictly in (0, 1)")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError("noise_sigma must be finite and non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.num_splits < 1:
             raise ConfigError("num_splits must be positive")
         n_imp = self.impostor_count()

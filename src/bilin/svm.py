@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateModelError, ProtocolError, ShapeError
+from .errors import ConfigError, DegenerateModelError, ProtocolError, ShapeError
 
 # Columns of X cast to float64 at a time by the Gram form; 16 rows make
 # a 512 KiB block.  2048-8192 time alike at 16 x 262144, wider is slower.
@@ -92,15 +92,6 @@ class GalleryModelSet:
         return self.rescale_a * (x @ self.w.T + self.b) + self.rescale_b
 
 
-def hinge_objective(w, b, X, y, reg_c, weights=None):
-    """Value of 0.5*||w||^2 + 0.5*b^2 + C * sum of weighted hinge losses."""
-    margins = y * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    if weights is not None:
-        hinge = hinge * weights
-    return 0.5 * (float(w @ w) + float(b) ** 2) + reg_c * float(hinge.sum())
-
-
 def _subgradient_descent(X, Y, weighted, reg_c, epochs):
     """``(W, b)`` of one binary model per column of the +-1 labels ``Y``;
     ``weighted`` is ``Y`` times the balance weights ``c``."""
@@ -151,15 +142,6 @@ def _gram_descent(X, Y, weighted, reg_c, epochs):
     return W, b, scores
 
 
-def train_binary_svm(X, y, reg_c=1.0, epochs=100, weights=None):
-    """Deterministic full-batch subgradient descent; returns ``(w, b)``."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)[:, None]
-    weighted = y if weights is None else np.asarray(weights)[:, None] * y
-    W, b = _subgradient_descent(X, y, weighted, reg_c, epochs)
-    return W[0], float(b[0])
-
-
 def rescale_model(model, pos_scores, neg_scores):
     """Affine rescale so median positive maps to +1 and median negative to -1.
 
@@ -190,8 +172,8 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
     ----------
     descriptors : (n, dim) array
     labels : sequence of n identity-id strings (>= 2 distinct)
-    reg_c : hinge penalty C
-    epochs : full-batch subgradient steps, shared by all identities
+    reg_c : hinge penalty C, finite and > 0
+    epochs : full-batch subgradient steps (>= 1), shared by all identities
     balanced : weight each positive by n_neg / n_pos to counter the
         one-vs-rest imbalance (off by default)
 
@@ -200,6 +182,9 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
     GalleryModelSet with one rescaled model per identity, ordered by
     ascending identity id.
     """
+    if not (np.isfinite(reg_c) and reg_c > 0) or epochs < 1:
+        raise ConfigError(f"reg_c must be finite and > 0 and epochs >= 1, "
+                          f"got reg_c={reg_c}, epochs={epochs}")
     X = np.asarray(descriptors)  # the Gram form casts it block by block
     if X.ndim != 2:
         raise ShapeError(f"descriptors must be (n, dim), got shape {X.shape}")

@@ -113,3 +113,12 @@ def make_conv(seed, k=2, c_in=3, c_out=3, bias_lo=0.3, bias_hi=0.6):
     kernel = r.normal(0.0, np.sqrt(2.0 / (k * k * c_in)), (k, k, c_in, c_out))
     bias = r.uniform(bias_lo, bias_hi, c_out)
     return ConvParams(kernel=kernel, bias=bias)
+
+
+def hinge_objective(w, b, X, y, reg_c, weights=None):
+    """Value of 0.5*||w||^2 + 0.5*b^2 + C * sum of weighted hinge losses."""
+    margins = y * (X @ w + b)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    if weights is not None:
+        hinge = hinge * weights
+    return 0.5 * (float(w @ w) + float(b) ** 2) + reg_c * float(hinge.sum())

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilin.cli import main
+from bilin.cli import build_parser, main
 from bilin.encoder import encode
 from bilin.io import load_gallery, load_store, save_feature_map
 from bilin.protocol import read_metadata
@@ -438,3 +442,143 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["synth", "--bogus"]) == 2
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Two splits with train templates, their descriptors, gallery models
+    and evaluation, made once with default flags."""
+    root = tmp_path_factory.mktemp("pipeline")
+    p = SimpleNamespace(root=root, data=root / "data", desc=root / "desc",
+                        models=root / "models", res=root / "res")
+    assert main(["synth", "--out", str(p.data), *SYNTH_FLAGS, "--splits", "2",
+                 "--templates", "6"]) == 0
+    assert main(["encode", "--input", str(p.data), "--out", str(p.desc)]) == 0
+    assert main(["train-gallery", "--data", str(p.data), "--descriptors",
+                 str(p.desc), "--out", str(p.models)]) == 0
+    assert main(["eval", "--data", str(p.data), "--descriptors", str(p.desc),
+                 "--models", str(p.models), "--out", str(p.res)]) == 0
+    return p
+
+
+def stage_argv(stage, p, out):
+    """The stage's required flags over the ``pipeline`` fixture."""
+    paths = {"synth": [], "plot": [], "encode": ["--input", p.data],
+             "finetune": ["--data", p.data],
+             "train-gallery": ["--data", p.data, "--descriptors", p.desc],
+             "eval": ["--data", p.data, "--descriptors", p.desc, "--models", p.models]}
+    return [stage, *map(str, paths[stage]), "--out", str(out)]
+
+
+# A value other than the default for every option but the required paths.
+CONFIG_VALUES = {
+    "synth": {"identities": "4", "templates": "3", "media": "2", "map-dims": "6x6x4",
+              "impostor-fraction": "0.3", "noise-sigma": "0.2", "seed": "11",
+              "splits": "2"},
+    "encode": {"check-files": "true", "force": "true"},
+    "finetune": {"check-files": "true", "split": "2", "epochs": "2", "batch-size": "3",
+                 "lr-lower": "0.002", "lr-last": "0.02", "decay-factor": "5.0",
+                 "dropout": "0.25", "patience": "1", "kernel-size": "2",
+                 "out-channels": "3", "seed": "5"},
+    "train-gallery": {"check-files": "true", "split": "1", "reg-c": "2.0",
+                      "epochs": "30", "balanced": "true", "seed": "3"},
+    "eval": {"check-files": "true", "split": "1", "pooling": "feature",
+             "fnir-rank1": "true", "max-rank": "2"},
+    "plot": {"cmc": "res/cmc_s02.csv", "det": "res/det_s02.csv"},
+}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("stage", sorted(CONFIG_VALUES))
+    def test_every_option_reads_as_its_flag(self, pipeline, tmp_path, stage):
+        values = {k: str(pipeline.root / v) if stage == "plot" else v
+                  for k, v in CONFIG_VALUES[stage].items()}
+        declared = {a.dest.replace("_", "-") for a in build_parser()[1][stage]._actions
+                    if a.option_strings and not a.required}
+        assert declared - {"help", "config"} == set(values)
+        flags = [a for k, v in values.items()
+                 for a in ([f"--{k}"] if v == "true" else [f"--{k}", v])]
+        cfg = tmp_path / "stage.cfg"
+        # threads is no option of any stage: ignored
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()) + "threads=4\n")
+        by_flag, by_file, replay = (tmp_path / n for n in ("flag", "file", "replay"))
+        assert main([*stage_argv(stage, pipeline, by_flag), *flags]) == 0
+        assert main([*stage_argv(stage, pipeline, by_file), "--config", str(cfg)]) == 0
+        # run_config.txt reads back as a config file of the same run
+        assert main([*stage_argv(stage, pipeline, replay), "--config",
+                     str(by_flag / "run_config.txt")]) == 0
+        recorded = (by_flag / "run_config.txt").read_text()
+        for key in values:
+            assert f"\n{key}=" in recorded
+        for out in (by_file, replay):
+            assert tree_hash(out) == tree_hash(by_flag)
+            assert (out / "run_config.txt").read_text().replace(str(out), "OUT") == \
+                recorded.replace(str(by_flag), "OUT")
+
+    def test_split_and_switches_from_file(self, pipeline, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("split=1\nbalanced=true\nfnir-rank1=true\n")
+        models, res = tmp_path / "models", tmp_path / "res"
+        assert main([*stage_argv("train-gallery", pipeline, models),
+                     "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in models.glob("*.bgm")) == ["gallery_s01.bgm"]
+        assert "balanced=True" in (models / "run_config.txt").read_text()
+        # the fixture's models hold both splits; eval must read split=1 itself
+        assert main([*stage_argv("eval", pipeline, res), "--config", str(cfg)]) == 0
+        assert list(json.loads((res / "summary.json").read_text())["splits"]) == ["1"]
+        assert "fnir-rank1=True" in (res / "run_config.txt").read_text()
+
+    @pytest.mark.parametrize("stage, line", [
+        ("train-gallery", "reg-c=abc"), ("train-gallery", "balanced=maybe"),
+        ("eval", "pooling=bogus"), ("finetune", "epochs=1.5"), ("synth", "seed=x"),
+        ("encode", "force="), ("synth", "seed=\udcff"),
+    ], ids=["text-float", "maybe-switch", "no-choice", "float-int", "text-int",
+            "empty-switch", "not-utf8"])
+    def test_bad_value_for_known_key_exits_2(self, pipeline, tmp_path, capsys,
+                                             stage, line):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n", errors="surrogateescape")  # \udcff: the byte ff
+        out = tmp_path / "out"
+        assert main([*stage_argv(stage, pipeline, out), "--config", str(cfg)]) == 2
+        assert f"config key {line.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("stage, option, value", [
+        ("eval", "--max-rank", "0"), ("eval", "--max-rank", "-3"),
+        ("train-gallery", "--reg-c", "0"), ("train-gallery", "--reg-c", "nan"),
+        ("train-gallery", "--reg-c", "inf"), ("train-gallery", "--epochs", "0"),
+        ("finetune", "--kernel-size", "0"), ("finetune", "--kernel-size", "-1"),
+        ("finetune", "--out-channels", "0"), ("finetune", "--lr-lower", "nan"),
+        ("finetune", "--decay-factor", "inf"), ("finetune", "--seed", "-1"),
+        ("synth", "--noise-sigma", "nan"), ("synth", "--noise-sigma", "inf"),
+        ("synth", "--seed", "-1"),
+    ])
+    def test_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                        stage, option, value):
+        out = tmp_path / "out"
+        extra = SYNTH_FLAGS if stage == "synth" else []
+        assert main([*stage_argv(stage, pipeline, out), *extra, option, value]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+NUMERIC_OPTIONS = [(stage, option) for stage, options in {
+    "synth": ["identities", "templates", "media", "map-dims", "impostor-fraction",
+              "noise-sigma", "seed", "splits"],
+    "finetune": ["split", "epochs", "batch-size", "lr-lower", "lr-last", "decay-factor",
+                 "dropout", "patience", "kernel-size", "out-channels", "seed"],
+    "train-gallery": ["split", "reg-c", "epochs", "seed"],
+    "eval": ["split", "max-rank"],
+}.items() for option in options]
+ARGV_VALUES = ["0", "-1", "-3", "0.5", "1", "2", "nan", "inf", "-inf", "abc", ""]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(NUMERIC_OPTIONS), st.sampled_from(ARGV_VALUES))
+def test_numeric_options_exit_with_a_documented_code(pipeline, stage_option, value):
+    stage, option = stage_option
+    out = Path(tempfile.mkdtemp(dir=pipeline.root)) / "out"
+    base = {"synth": SYNTH_FLAGS, "finetune": ["--epochs", "2"]}.get(stage, [])
+    assert main([*stage_argv(stage, pipeline, out), *base, f"--{option}", value]) in (0, 2, 3, 4)

@@ -249,16 +249,6 @@ class TestIngestPatch:
         patch = ingest_patch(rng.normal(5.0, 3.0, (6, 6, 2)))
         assert patch.min() == 0.0 and patch.max() == 1.0
 
-    def test_nearest_neighbor_resize_ignores_aspect(self):
-        tall = np.arange(8, dtype=float).reshape(4, 2, 1)
-        out = ingest_patch(tall, out_hw=(3, 3))
-        assert out.shape == (3, 3, 1)
-
-    def test_resize_exact_upsample(self):
-        src = np.array([[0.0, 1.0]]).reshape(1, 2, 1)
-        out = ingest_patch(src, out_hw=(1, 4))
-        np.testing.assert_array_equal(out.ravel(), [0, 0, 1, 1])
-
     def test_constant_maps_to_zeros(self):
         assert not ingest_patch(np.full((3, 3, 1), 7.0)).any()
 

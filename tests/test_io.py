@@ -20,7 +20,6 @@ from bilin.io import (
     BFM_MAGIC,
     BGM_MAGIC,
     MAX_MAP_ELEMENTS,
-    FeatureMap,
     StoreWriter,
     load_feature_map,
     load_gallery,
@@ -145,10 +144,6 @@ class TestFeatureMapFormat:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(NumericError):
             save_feature_map(tmp_path / "nan.bfm", np.full((1, 1, 2), np.nan))
-
-    def test_feature_map_accessors(self, rng):
-        fmap = FeatureMap(rng.random((3, 4, 5)).astype(np.float32))
-        assert (fmap.height, fmap.width, fmap.channels) == (3, 4, 5)
 
 
 def toy_gallery(rng, dim=6, n=3):

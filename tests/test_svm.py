@@ -5,14 +5,9 @@ import pytest
 
 from bilin import svm
 from bilin.errors import DegenerateModelError, ProtocolError, ShapeError
-from bilin.svm import (
-    GalleryModelSet,
-    LinearModel,
-    hinge_objective,
-    rescale_model,
-    train_binary_svm,
-    train_ovr_svm,
-)
+from bilin.svm import GalleryModelSet, LinearModel, rescale_model, train_ovr_svm
+
+from conftest import hinge_objective
 
 
 def blobs(rng, centers, per=10, sigma=0.3):
@@ -59,6 +54,17 @@ def ovr_loop_oracle(X, labels, reg_c=1.0, epochs=100, balanced=False):
     return ids, np.array(W), np.array(b), np.array(a), np.array(c)
 
 
+def train_binary_svm(X, y, balanced=False, **kwargs):
+    """``(w, b)`` of the positive class: its column of a two-identity
+    one-vs-rest gallery, before rescaling.  With n >= dim that is the
+    primal loop on a single +-1 label column; ``balanced`` weighs each
+    positive n_neg / n_pos."""
+    labels = ["pos" if v > 0 else "neg" for v in y]
+    gallery = train_ovr_svm(X, labels, balanced=balanced, **kwargs)
+    j = gallery.identity_ids.index("pos")
+    return gallery.w[j], float(gallery.b[j])
+
+
 class TestBinarySolver:
     def test_separable_1d_recovers_margin(self):
         X = np.array([[2.0], [3.0], [4.0], [-2.0], [-3.0], [-4.0]])
@@ -89,9 +95,8 @@ class TestBinarySolver:
         X = np.vstack([rng.normal(1.5, 0.2, (2, 1)),
                        rng.normal(-1.5, 0.2, (40, 1))])
         y = np.array([1.0] * 2 + [-1.0] * 40)
-        weights = np.where(y > 0, 20.0, 1.0)
         w_plain, b_plain = train_binary_svm(X, y)
-        w_bal, b_bal = train_binary_svm(X, y, weights=weights)
+        w_bal, b_bal = train_binary_svm(X, y, balanced=True)  # positives weigh 40 / 2 = 20
         assert (w_bal[0], b_bal) != (w_plain[0], b_plain)
         assert np.all(np.sign(X @ w_bal + b_bal) == y)
 
