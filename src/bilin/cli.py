@@ -10,9 +10,10 @@ from a ``--config`` file of ``key=value`` lines, the key being the
 option's name without its dashes: a switch takes ``true`` or ``false``,
 a key the stage does not declare is ignored, and explicit flags win over
 the file.  The BILIN_SEED environment variable overrides the seed from
-either source.  Each output directory receives a ``run_config.txt``
-holding the command and every option of the stage that has a value, in
-the same ``key=value`` form.
+either source.  A stage puts its outputs in place only when it succeeds
+(see :class:`bilin.io.Outputs`; synth writes its dataset in place), the
+last being ``run_config.txt``: the command and every option of the
+stage that has a value, in the same ``key=value`` form.
 """
 
 import argparse
@@ -40,7 +41,8 @@ from .errors import (
 )
 from .extractor import ingest_patch, init_conv_params
 from .finetune import TrainConfig, finetune_softmax, init_softmax_head
-from .io import MANIFEST_FILE, StoreWriter, load_feature_map, load_gallery, load_store, save_gallery
+from .io import (MANIFEST_FILE, Outputs, StoreWriter, load_feature_map, load_gallery,
+                 load_store, save_gallery)
 from .svm import train_ovr_svm
 
 
@@ -83,15 +85,14 @@ def config_defaults(stage, path):
     return defaults
 
 
-def write_run_config(args):
-    """``run_config.txt`` in ``args.out``: the command, then every option
-    of the stage that has a value, one ``key=value`` line each."""
+def write_run_config(args, out):
+    """Stage ``run_config.txt`` last and commit ``out``: the command, then
+    every option of the stage that has a value, one ``key=value`` each."""
     options = {dest.replace("_", "-"): value for dest, value in vars(args).items()
                if dest not in ("command", "config", "func") and value is not None}
     lines = [f"command={args.command}"] + [f"{k}={options[k]}" for k in sorted(options)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.path("run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.commit()
 
 
 def _parse_map_dims(text):
@@ -135,7 +136,8 @@ def cmd_synth(args):
         num_splits=args.splits,
     )
     splits = protocol.synth_generate(cfg, args.out)
-    write_run_config(args)
+    with Outputs(args.out) as out:
+        write_run_config(args, out)
     n_media = sum(len(list(s.all_media())) for s in splits)
     print(f"synth: wrote {len(splits)} split(s), {n_media} media under {args.out}")
     return 0
@@ -159,7 +161,7 @@ def cmd_encode(args):
         manifest_path.unlink()
 
     failures, mixed_dims = [], None
-    with StoreWriter(out_dir, [m.media_id for m in media]) as store:
+    with Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store:
         for item in media:
             try:
                 descriptor = encode(load_feature_map(data_dir / item.path).values)
@@ -180,8 +182,8 @@ def cmd_encode(args):
             return 3
         if mixed_dims:
             raise mixed_dims
-        store.commit()
-    write_run_config(args)
+        store.finish()
+        write_run_config(args, out)
     print(f"encode: wrote {len(media)} descriptors under {out_dir}")
     return 0
 
@@ -234,19 +236,15 @@ def cmd_finetune(args):
         extractor, head, patches, labels, cfg
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    np.save(out_dir / "extractor_kernel.npy", extractor.kernel)
-    np.save(out_dir / "extractor_bias.npy", extractor.bias)
-    np.save(out_dir / "head_weights.npy", head.weights)
-    np.save(out_dir / "head_bias.npy", head.bias)
-    with open(out_dir / "classes.json", "w", encoding="utf-8") as f:
-        json.dump(classes, f)
-        f.write("\n")
-    with open(out_dir / "loss_trace.json", "w", encoding="utf-8") as f:
-        json.dump(trace, f)
-        f.write("\n")
-    write_run_config(args)
+    arrays = {"extractor_kernel.npy": extractor.kernel, "extractor_bias.npy": extractor.bias,
+              "head_weights.npy": head.weights, "head_bias.npy": head.bias}
+    with Outputs(args.out) as out:
+        for name, array in arrays.items():
+            with open(out.path(name), "wb") as f:  # a path would gain a second .npy
+                np.save(f, array)
+        for name, value in (("classes.json", classes), ("loss_trace.json", trace)):
+            out.path(name).write_text(json.dumps(value) + "\n", encoding="utf-8")
+        write_run_config(args, out)
     print(
         f"finetune: loss {trace[0]:.4f} -> {trace[-1]:.4f} "
         f"over {cfg.epochs} epochs ({len(patches)} samples, "
@@ -261,23 +259,22 @@ def cmd_finetune(args):
 def cmd_train_gallery(args):
     # --seed is only recorded in run_config.txt: the solver is deterministic
     splits = _read_dataset(args.data, args.check_files)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for split in _select_splits(splits, args.split):
-        index = split.split_index
-        if not split.gallery:
-            raise DataError(f"split {index} has no gallery templates")
-        templates = sorted(split.gallery, key=lambda t: t.template_id)
-        media = [m for t in templates for m in t.media]
-        labels = [t.subject_id for t in templates for _ in t.media]
-        X = _load_descriptors_for(media, args.descriptors, "gallery")
-        gallery = train_ovr_svm(X, labels, reg_c=args.reg_c, epochs=args.epochs,
-                                balanced=args.balanced)
-        path = out_dir / f"gallery_s{index:02d}.bgm"
-        save_gallery(path, gallery)
-        print(f"train-gallery: split {index}: {len(gallery.identity_ids)} models -> {path}")
-    write_run_config(args)
+    with Outputs(args.out) as out:
+        for split in _select_splits(splits, args.split):
+            index = split.split_index
+            if not split.gallery:
+                raise DataError(f"split {index} has no gallery templates")
+            templates = sorted(split.gallery, key=lambda t: t.template_id)
+            media = [m for t in templates for m in t.media]
+            labels = [t.subject_id for t in templates for _ in t.media]
+            X = _load_descriptors_for(media, args.descriptors, "gallery")
+            gallery = train_ovr_svm(X, labels, reg_c=args.reg_c, epochs=args.epochs,
+                                    balanced=args.balanced)
+            name = f"gallery_s{index:02d}.bgm"
+            save_gallery(out.path(name), gallery)
+            print(f"train-gallery: split {index}: {len(gallery.identity_ids)} models "
+                  f"-> {out.out_dir / name}")
+        write_run_config(args, out)
     return 0
 
 
@@ -286,41 +283,34 @@ def cmd_train_gallery(args):
 
 def cmd_eval(args):
     splits = _read_dataset(args.data, args.check_files)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     summaries = {}
-    for split in _select_splits(splits, args.split):
-        index = split.split_index
-        model_path = Path(args.models) / f"gallery_s{index:02d}.bgm"
-        if not model_path.exists():
-            raise ConfigError(
-                f"no gallery models for split {index} at {model_path}; "
-                f"run `bilin train-gallery` first"
+    with Outputs(args.out) as out:
+        for split in _select_splits(splits, args.split):
+            index = split.split_index
+            model_path = Path(args.models) / f"gallery_s{index:02d}.bgm"
+            if not model_path.exists():
+                raise ConfigError(f"no gallery models for split {index} at {model_path}; "
+                                  f"run `bilin train-gallery` first")
+            gallery = load_gallery(model_path)
+            probe_media = [m for t in split.probe for m in t.media]
+            probes = _load_descriptors_for(probe_media, args.descriptors, "probe")
+            if probes.shape[1] != gallery.descriptor_dim:
+                raise ConfigError(f"split {index}: probe descriptor dim {probes.shape[1]} "
+                                  f"!= gallery dim {gallery.descriptor_dim} of {model_path}")
+            table = dict(zip((m.media_id for m in probe_media), probes))
+            _, cmc, det, summary = evaluate.evaluate_split(
+                split, gallery, table, strategy=args.pooling, max_rank=args.max_rank,
+                rank1_conditioned=args.fnir_rank1,
             )
-        gallery = load_gallery(model_path)
-        probe_media = [m for t in split.probe for m in t.media]
-        probes = _load_descriptors_for(probe_media, args.descriptors, "probe")
-        if probes.shape[1] != gallery.descriptor_dim:
-            raise ConfigError(f"split {index}: probe descriptor dim {probes.shape[1]} "
-                              f"!= gallery dim {gallery.descriptor_dim} of {model_path}")
-        table = dict(zip((m.media_id for m in probe_media), probes))
-        _, cmc, det, summary = evaluate.evaluate_split(
-            split, gallery, table, strategy=args.pooling, max_rank=args.max_rank,
-            rank1_conditioned=args.fnir_rank1,
-        )
-        evaluate.write_cmc_csv(cmc, out_dir / f"cmc_s{index:02d}.csv")
-        evaluate.write_det_csv(det, out_dir / f"det_s{index:02d}.csv")
-        summaries[index] = summary
-
-    aggregate = evaluate.aggregate_summaries(summaries)
-    evaluate.write_summary_json(aggregate, out_dir / "summary.json")
-    write_run_config(args)
+            evaluate.write_cmc_csv(cmc, out.path(f"cmc_s{index:02d}.csv"))
+            evaluate.write_det_csv(det, out.path(f"det_s{index:02d}.csv"))
+            summaries[index] = summary
+        aggregate = evaluate.aggregate_summaries(summaries)
+        evaluate.write_summary_json(aggregate, out.path("summary.json"))
+        write_run_config(args, out)
     mean = aggregate["mean"]
-    print(
-        f"eval: {len(summaries)} split(s), mean rank1 {mean['rank1']:.3f}, "
-        f"mean FNIR@FPIR=0.1 {mean['fnir_at_fpir_0.1']:.3f}"
-    )
+    print(f"eval: {len(summaries)} split(s), mean rank1 {mean['rank1']:.3f}, "
+          f"mean FNIR@FPIR=0.1 {mean['fnir_at_fpir_0.1']:.3f}")
     return 0
 
 
@@ -354,31 +344,32 @@ def _read_csv_columns(path, names):
 def cmd_plot(args):
     if not args.cmc and not args.det:
         raise ConfigError("nothing to plot: pass --cmc and/or --det")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if args.cmc:
-        ranks, recalls = _read_csv_columns(args.cmc, ["rank", "recall"])
-        chart = svg.line_chart(
-            [("recall", ranks, recalls)],
-            title="Cumulative match characteristic",
-            x_label="rank", y_label="retrieval rate",
-        )
-        (out_dir / "cmc.svg").write_text(chart, encoding="utf-8")
-        written.append("cmc.svg")
-    if args.det:
-        fpir, fnir = _read_csv_columns(args.det, ["fpir", "fnir"])
-        chart = svg.line_chart(
-            [("", fpir, fnir)],
-            title="Decision error trade-off",
-            x_label="false positive identification rate",
-            y_label="false negative identification rate",
-            x_log=True,
-        )
-        (out_dir / "det.svg").write_text(chart, encoding="utf-8")
-        written.append("det.svg")
-    write_run_config(args)
-    print(f"plot: wrote {', '.join(written)} under {out_dir}")
+    with Outputs(args.out) as out:
+        if args.cmc:
+            ranks, recalls = _read_csv_columns(args.cmc, ["rank", "recall"])
+            chart = svg.line_chart(
+                [("recall", ranks, recalls)],
+                title="Cumulative match characteristic",
+                x_label="rank", y_label="retrieval rate",
+            )
+            out.path("cmc.svg").write_text(chart, encoding="utf-8")
+            written.append("cmc.svg")
+        if args.det:
+            fpir, fnir = _read_csv_columns(args.det, ["fpir", "fnir"])
+            if not any(x > 0 for x in fpir):  # the log axis has no place for x <= 0
+                raise ConfigError(f"{args.det}: column 'fpir' holds no value above 0 to plot")
+            chart = svg.line_chart(
+                [("", fpir, fnir)],
+                title="Decision error trade-off",
+                x_label="false positive identification rate",
+                y_label="false negative identification rate",
+                x_log=True,
+            )
+            out.path("det.svg").write_text(chart, encoding="utf-8")
+            written.append("det.svg")
+        write_run_config(args, out)
+    print(f"plot: wrote {', '.join(written)} under {out.out_dir}")
     return 0
 
 

@@ -128,10 +128,9 @@ def compute_cmc(results, max_rank=100):
     ranks = [r.rank_of_true() for r in results if r.mated]
     if not ranks:
         raise ProtocolError("CMC needs at least one mated probe")
-    ranks = np.asarray(ranks)
-    recall = np.array(
-        [np.mean(ranks <= r) for r in range(1, max_rank + 1)]
-    )
+    # recall at rank r: the share of mated probes whose true rank is <= r
+    hits = np.searchsorted(np.sort(ranks), np.arange(1, max_rank + 1), side="right")
+    recall = hits / len(ranks)
     return CmcCurve(recall_at_rank=recall, mated_probe_count=len(ranks))
 
 
@@ -246,14 +245,9 @@ def aggregate_summaries(per_split):
     if not per_split:
         raise ProtocolError("no split summaries to aggregate")
     out = {"splits": {str(k): per_split[k] for k in sorted(per_split)}}
-    out["mean"] = {
-        key: float(np.mean([s[key] for s in per_split.values()]))
-        for key in SUMMARY_KEYS
-    }
-    out["std"] = {
-        key: float(np.std([s[key] for s in per_split.values()]))
-        for key in SUMMARY_KEYS
-    }
+    for name, stat in (("mean", np.mean), ("std", np.std)):
+        out[name] = {key: float(stat([s[key] for s in per_split.values()]))
+                     for key in SUMMARY_KEYS}
     return out
 
 

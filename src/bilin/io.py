@@ -24,10 +24,10 @@ Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
     manifest.csv     header "media_id", then the id of each row, in order
 
-Rows are streamed to ``descriptors.npy.tmp``, which is renamed into
-place after the last row; the manifest is written after that and
-renamed into place too, so a manifest always names a whole store (see
-StoreWriter / load_store).
+Like every stage output (see Outputs), the store is staged: rows stream
+into ``descriptors.npy.tmp``, the manifest is staged after the last row,
+and both are renamed into place, descriptors first, only once the run
+succeeds, so a manifest always names a whole store (see StoreWriter).
 """
 
 import os
@@ -190,38 +190,79 @@ def load_gallery(path):
         raise CorruptFileError(f"{path}: {exc}") from None
 
 
-class StoreWriter:
-    """Streams the rows of one encode run into a descriptor store.
+class Outputs:
+    """Stages a run's files in ``out_dir``, which gets all of them or none.
 
-    Each row is cast into one reused float32 buffer and appended to
-    ``descriptors.npy.tmp`` as soon as it is written; the directory and
-    the header are made at the first row, once the dim is known.
-    :meth:`commit` renames the array into place, then writes the
-    manifest, so a manifest only ever names a whole store.  Closing the
-    writer without a commit (the ``with`` block exits) deletes the
-    temporary file and every directory the writer made.
+    :meth:`path` names the ``<name>.tmp`` to write ``name`` to, and
+    :meth:`commit` renames the staged files in the order they were named.
+    Leaving the ``with`` block without a commit deletes every temporary
+    and every directory the run made.
     """
 
-    def __init__(self, out_dir, media_ids):
+    def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
+        self._names = []
+        self._made = []  # directories this run created, deepest first
+
+    def __enter__(self):
+        return self
+
+    def path(self, name):
+        if not self._names:
+            d = self.out_dir
+            while not d.exists():
+                self._made.append(d)
+                d = d.parent
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._names.append(name)
+        return self.out_dir / f"{name}.tmp"
+
+    def commit(self):
+        for name in self._names:
+            os.replace(self.out_dir / f"{name}.tmp", self.out_dir / name)
+        self._names, self._made = [], []  # the directories hold the outputs now
+
+    def __exit__(self, *exc_info):
+        for name in self._names:
+            (self.out_dir / f"{name}.tmp").unlink(missing_ok=True)
+        for d in self._made:
+            try:
+                d.rmdir()
+            except OSError:  # it holds files this run did not write
+                break
+
+
+class StoreWriter:
+    """Streams the rows of one encode run into a store staged in ``out``.
+
+    Each row is cast into one reused float32 buffer and appended as soon
+    as it is written, after the header at the first row.  :meth:`finish`
+    checks the row count and stages the manifest for ``out.commit()``.
+    """
+
+    def __init__(self, out, media_ids):
+        self.out = out
         self.media_ids = list(media_ids)
-        self._tmp = self.out_dir / f"{STORE_FILE}.tmp"
         self._file = None
         self._row = None
         self._rows = 0
-        self._made = []  # directories this writer created, deepest first
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self.close()
+        if self._file is not None:
+            self._file.close()
 
     def write(self, descriptor):
         """Append one row; a descriptor of another shape than the first
         row's is a ShapeError and is not written."""
         if self._file is None:
-            self._open(np.size(descriptor))
+            dim = np.size(descriptor)
+            self._file = open(self.out.path(STORE_FILE), "wb")
+            np.lib.format.write_array_header_1_0(self._file, {
+                "descr": "<f4", "fortran_order": False, "shape": (len(self.media_ids), dim)})
+            self._row = np.empty(dim, dtype="<f4")
         if np.shape(descriptor) != self._row.shape:
             raise ShapeError(f"one store holds one descriptor dim: row {self._rows} "
                              f"has shape {np.shape(descriptor)}, row 0 {self._row.shape}")
@@ -229,40 +270,14 @@ class StoreWriter:
         self._file.write(self._row)
         self._rows += 1
 
-    def _open(self, dim):
-        d = self.out_dir
-        while not d.exists():
-            self._made.append(d)
-            d = d.parent
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._file = open(self._tmp, "wb")
-        np.lib.format.write_array_header_1_0(self._file, {
-            "descr": "<f4", "fortran_order": False, "shape": (len(self.media_ids), dim)})
-        self._row = np.empty(dim, dtype="<f4")
-
-    def commit(self):
-        """Put the store in place once every row has been written."""
+    def finish(self):
+        """Stage the manifest once every row has been written."""
         n = len(self.media_ids)
         if self._file is None or self._rows != n:
             raise ShapeError(f"a store of {n} rows got {self._rows}")
         self._file.close()
-        os.replace(self._tmp, self.out_dir / STORE_FILE)
-        self._made = []  # they hold the store now
-        tmp = self.out_dir / f"{MANIFEST_FILE}.tmp"
-        tmp.write_text("".join(f"{m}\n" for m in ["media_id", *self.media_ids]),
-                       encoding="utf-8")
-        os.replace(tmp, self.out_dir / MANIFEST_FILE)
-
-    def close(self):
-        """Discard an uncommitted store; a no-op after :meth:`commit`."""
-        if self._file is not None:
-            self._file.close()
-            self._tmp.unlink(missing_ok=True)  # renamed away by a commit
-        for d in self._made:
-            try:
-                d.rmdir()
-            except OSError:  # it holds files this writer did not write
-                break
+        self.out.path(MANIFEST_FILE).write_text(
+            "".join(f"{m}\n" for m in ["media_id", *self.media_ids]), encoding="utf-8")
 
 
 def _read_store_header(f, path):

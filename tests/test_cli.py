@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import struct
 import tempfile
 import tracemalloc
@@ -38,6 +39,12 @@ def tree_hash(root):
             digest.update(path.relative_to(root).as_posix().encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def snapshot(root):
+    """The bytes of every file under ``root``, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
 
 
 def overwrite_store(desc, row):
@@ -426,6 +433,16 @@ class TestPlot:
         err = capsys.readouterr().err
         assert "odd.csv" in err and (column is None or repr(column) in err)
 
+    def test_det_without_positive_fpir_exits_2_naming_file_and_column(self, tmp_path,
+                                                                      capsys):
+        det = tmp_path / "det.csv"
+        det.write_text("threshold,fpir,fnir\n0.5,0.0,0.1\n1.5,0.0,0.6\n")
+        out = tmp_path / "p"
+        assert main(["plot", "--det", str(det), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "det.csv" in err and "'fpir'" in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_end_to_end_rerun_is_byte_identical(self, tmp_path):
@@ -561,7 +578,7 @@ class TestEdgeValues:
         extra = SYNTH_FLAGS if stage == "synth" else []
         assert main([*stage_argv(stage, pipeline, out), *extra, option, value]) == 2
         assert "config error" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 NUMERIC_OPTIONS = [(stage, option) for stage, options in {
@@ -581,4 +598,79 @@ def test_numeric_options_exit_with_a_documented_code(pipeline, stage_option, val
     stage, option = stage_option
     out = Path(tempfile.mkdtemp(dir=pipeline.root)) / "out"
     base = {"synth": SYNTH_FLAGS, "finetune": ["--epochs", "2"]}.get(stage, [])
-    assert main([*stage_argv(stage, pipeline, out), *base, f"--{option}", value]) in (0, 2, 3, 4)
+    code = main([*stage_argv(stage, pipeline, out), *base, f"--{option}", value])
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or not out.exists()
+
+
+class TestFailedRunKeepsPreviousOutputs:
+    """A stage that fails leaves its output directory byte-identical to
+    what the last successful run left there, holds no temporary, and
+    makes no directory."""
+
+    def check(self, tmp_path, previous, argv_for, code):
+        old = tmp_path / "old"
+        shutil.copytree(previous, old)
+        before = snapshot(old)
+        assert main(argv_for(old)) == code
+        assert snapshot(old) == before
+        assert main(argv_for(tmp_path / "fresh" / "out")) == code
+        assert not (tmp_path / "fresh").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("damage, code", [("missing", 2), ("truncated", 3)])
+    def test_eval_with_split_2_models_gone(self, pipeline, tmp_path, damage, code):
+        # split 1 retrained with other settings, split 2 deleted or cut short
+        models = tmp_path / "models"
+        assert main([*stage_argv("train-gallery", pipeline, models), "--split", "1",
+                     "--reg-c", "2.0"]) == 0
+        if damage == "truncated":
+            whole = (pipeline.models / "gallery_s02.bgm").read_bytes()
+            (models / "gallery_s02.bgm").write_bytes(whole[:-4])
+
+        def argv_for(out):
+            return ["eval", "--data", str(pipeline.data), "--descriptors", str(pipeline.desc),
+                    "--models", str(models), "--out", str(out)]
+
+        self.check(tmp_path, pipeline.res, argv_for, code)
+
+    def test_train_gallery_with_split_2_descriptors_gone(self, pipeline, tmp_path):
+        desc = tmp_path / "desc"
+        shutil.copytree(pipeline.desc, desc)
+        manifest = desc / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("s02_", "x02_"))
+
+        def argv_for(out):
+            return ["train-gallery", "--data", str(pipeline.data), "--descriptors", str(desc),
+                    "--out", str(out)]
+
+        self.check(tmp_path, pipeline.models, argv_for, 2)
+
+    def test_finetune_failing_after_its_first_file(self, pipeline, tmp_path, monkeypatch):
+        def argv_for(out):
+            return [*stage_argv("finetune", pipeline, out), "--epochs", "2"]
+
+        previous = tmp_path / "previous"
+        assert main(argv_for(previous)) == 0
+        save = np.save
+
+        def save_one(file, array):
+            if file.name.endswith("extractor_bias.npy.tmp"):
+                raise OSError("disk full")
+            save(file, array)
+
+        monkeypatch.setattr(np, "save", save_one)
+        self.check(tmp_path, previous, argv_for, 3)
+
+    def test_plot_with_a_bad_det(self, pipeline, tmp_path):
+        previous = tmp_path / "previous"
+        cmc, det = pipeline.res / "cmc_s01.csv", pipeline.res / "det_s01.csv"
+        assert main(["plot", "--cmc", str(cmc), "--det", str(det),
+                     "--out", str(previous)]) == 0
+        bad = tmp_path / "det.csv"
+        bad.write_text("threshold,fpir,fnir\n0.5,0.0,0.1\n")
+
+        def argv_for(out):
+            return ["plot", "--cmc", str(cmc), "--det", str(bad), "--out", str(out)]
+
+        self.check(tmp_path, previous, argv_for, 2)

@@ -185,6 +185,14 @@ class TestCmc:
         assert recall.min() >= 0.0 and recall.max() <= 1.0
         np.testing.assert_array_equal(recall, cmc_oracle(results, max_rank)[0])
 
+    def test_rank_past_the_gallery_costs_one_count(self, rng):
+        results = random_probe_results(rng, n_identities=10, n_probes=20)
+        worst = max(r.rank_of_true() for r in results if r.mated)
+        recall = compute_cmc(results, max_rank=10**6).recall_at_rank
+        assert recall.shape == (10**6,)
+        np.testing.assert_array_equal(recall[:12], cmc_oracle(results, 12)[0])
+        assert recall[worst - 2] < 1.0 and (recall[worst - 1:] == 1.0).all()
+
     def test_impostors_excluded(self):
         results = [
             make_result("t1", "a", {"a": 1.0, "b": 0.0}),

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from bilin.io import (
     BFM_MAGIC,
     BGM_MAGIC,
     MAX_MAP_ELEMENTS,
+    Outputs,
     StoreWriter,
     load_feature_map,
     load_gallery,
@@ -246,10 +248,11 @@ class TestGalleryFormat:
 
 
 def write_store(out_dir, media_ids, descriptors):
-    with StoreWriter(out_dir, media_ids) as store:
+    with Outputs(out_dir) as out, StoreWriter(out, media_ids) as store:
         for descriptor in descriptors:
             store.write(descriptor)
-        store.commit()
+        store.finish()
+        out.commit()
 
 
 def toy_store(path, rng, n=4, dim=5):
@@ -329,6 +332,55 @@ class TestDescriptorFiles:
         (tmp_path / "manifest.csv").write_text(text)
         with pytest.raises(FormatError):
             load_store(tmp_path, ["m0"])
+
+
+class TestOutputs:
+    """The staging helper every stage writes its outputs through."""
+
+    def test_commit_renames_in_the_order_named(self, tmp_path, monkeypatch):
+        renamed = []
+        replace = os.replace
+        monkeypatch.setattr("bilin.io.os.replace",
+                            lambda src, dst: renamed.append(dst.name) or replace(src, dst))
+        out_dir = tmp_path / "a" / "b"
+        with Outputs(out_dir) as out:
+            for name in ("z.csv", "a.json", "run_config.txt"):
+                path = out.path(name)
+                assert path == out_dir / f"{name}.tmp"
+                path.write_text(name)
+            assert {p.suffix for p in out_dir.iterdir()} == {".tmp"} and renamed == []
+            out.commit()
+        assert renamed == ["z.csv", "a.json", "run_config.txt"]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(renamed)
+        assert (out_dir / "a.json").read_text() == "a.json"
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failure_removes_temporaries_and_made_directories(self, tmp_path, error):
+        with pytest.raises(error):
+            with Outputs(tmp_path / "a" / "b") as out:
+                out.path("one.txt").write_text("1")
+                out.path("two.txt")  # named, never written
+                raise error
+        assert list(tmp_path.iterdir()) == []
+
+    def test_never_deletes_a_directory_that_existed(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "previous.txt").write_text("previous")
+        for out_dir in (tmp_path / "old", tmp_path / "old" / "new", tmp_path / "kept"):
+            with pytest.raises(ValueError):
+                with Outputs(out_dir) as out:
+                    out.path("previous.txt").write_text("new")
+                    raise ValueError
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "old"]
+        assert list((tmp_path / "old").iterdir()) == []
+        assert [p.name for p in (tmp_path / "kept").iterdir()] == ["previous.txt"]
+        assert (tmp_path / "kept" / "previous.txt").read_text() == "previous"
+
+    def test_nothing_named_makes_no_directory(self, tmp_path):
+        with Outputs(tmp_path / "a") as out:
+            out.commit()
+        assert list(tmp_path.iterdir()) == []
 
 
 # Byte mutations: (offset, new byte) pairs, then an optional cut or extension.
