@@ -284,7 +284,8 @@ def cmd_train_gallery(args):
 def cmd_eval(args):
     splits = _read_dataset(args.data, args.check_files)
     summaries = {}
-    with Outputs(args.out) as out:
+    # the curves beside summary.json are those of its splits, and only those
+    with Outputs(args.out, owns=r"(cmc|det)_s\d{2,}\.csv") as out:
         for split in _select_splits(splits, args.split):
             index = split.split_index
             model_path = Path(args.models) / f"gallery_s{index:02d}.bgm"

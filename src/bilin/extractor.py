@@ -6,7 +6,10 @@ are produced offline and ingested as ``.bfm`` feature maps instead.
 
 Convolution here means cross-correlation (no kernel flip), the usual
 CNN convention.  Patches are ``(H, W, C)`` arrays with values in
-``[0, 1]`` after ingestion.
+``[0, 1]`` after ingestion.  Every conv function also takes an
+``(N, H, W, C)`` stack of same-shape patches and then returns one result
+per patch along the leading axis, each bit-identical to the call on that
+patch alone: the per-patch matrix products are the same BLAS calls.
 
 The backward pass has two halves over one ReLU-gated upstream gradient:
 the parameter half (kernel and bias gradients) and the input half (the
@@ -69,16 +72,17 @@ def conv_output_shape(in_h, in_w, params):
 
 def _check_input(x, params):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected (H, W, C) input, got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"expected (H, W, C) input or an (N, H, W, C) stack, "
+                         f"got shape {x.shape}")
     k, k2, c_in, _ = params.kernel.shape
     if k != k2:
         raise ShapeError(f"kernel must be square, got {params.kernel.shape[:2]}")
-    if x.shape[2] != c_in:
+    if x.shape[-1] != c_in:
         raise ShapeError(
-            f"input has {x.shape[2]} channels, kernel expects {c_in}"
+            f"input has {x.shape[-1]} channels, kernel expects {c_in}"
         )
-    out_h, out_w = conv_output_shape(x.shape[0], x.shape[1], params)
+    out_h, out_w = conv_output_shape(x.shape[-3], x.shape[-2], params)
     if out_h < 1 or out_w < 1:
         raise ShapeError(
             f"output spatial dims ({out_h}, {out_w}) collapse below 1"
@@ -89,22 +93,24 @@ def _check_input(x, params):
 def _pad(x, padding):
     if padding == 0:
         return x
-    return np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    spatial = ((padding, padding), (padding, padding), (0, 0))
+    return np.pad(x, ((0, 0),) * (x.ndim - 3) + spatial)
 
 
 def _taps(params, out_h, out_w):
     """Each kernel tap (ki, kj) with the strided window of the padded
-    input that it meets, as (rows, cols) slices of output size."""
+    input or stack that it meets, as an index of output size."""
     k, s = params.kernel.shape[0], params.stride
     for ki in range(k):
         for kj in range(k):
-            yield ki, kj, slice(ki, ki + out_h * s, s), slice(kj, kj + out_w * s, s)
+            yield ki, kj, (..., slice(ki, ki + out_h * s, s), slice(kj, kj + out_w * s, s),
+                           slice(None))
 
 
 def _preactivation(padded, params, out_h, out_w):
-    pre = np.zeros((out_h, out_w, params.kernel.shape[3]))
-    for ki, kj, rows, cols in _taps(params, out_h, out_w):
-        pre += padded[rows, cols, :] @ params.kernel[ki, kj]
+    pre = np.zeros(padded.shape[:-3] + (out_h, out_w, params.kernel.shape[3]))
+    for ki, kj, window in _taps(params, out_h, out_w):
+        pre += padded[window] @ params.kernel[ki, kj]
     return pre + params.bias
 
 
@@ -122,7 +128,7 @@ def conv_forward(x, params):
 def _check_backward(x, params, g_out):
     x, out_h, out_w = _check_input(x, params)
     g_out = np.asarray(g_out, dtype=np.float64)
-    shape = (out_h, out_w, params.kernel.shape[3])
+    shape = x.shape[:-3] + (out_h, out_w, params.kernel.shape[3])
     if g_out.shape != shape:
         raise ShapeError(
             f"upstream gradient shape {g_out.shape} does not match "
@@ -132,23 +138,27 @@ def _check_backward(x, params, g_out):
 
 
 def _param_grads(padded, params, g_pre):
-    """Parameter half: kernel and bias gradients from the gated gradient."""
-    out_h, out_w, c_out = g_pre.shape
-    g_kernel = np.zeros_like(params.kernel)
-    flat_g = g_pre.reshape(-1, c_out)
-    for ki, kj, rows, cols in _taps(params, out_h, out_w):
-        window = padded[rows, cols, :]
-        g_kernel[ki, kj] = window.reshape(-1, window.shape[2]).T @ flat_g
-    return g_kernel, g_pre.sum(axis=(0, 1))
+    """Parameter half: kernel and bias gradients from the gated gradient,
+    one pair per patch of a stack."""
+    lead = g_pre.shape[:-3]
+    out_h, out_w, c_out = g_pre.shape[-3:]
+    g_kernel = np.zeros(lead + params.kernel.shape)
+    flat_g = g_pre.reshape(lead + (-1, c_out))
+    for ki, kj, window in _taps(params, out_h, out_w):
+        # one expression, so that each tap's copy of its window is freed
+        # before the next tap's is made
+        g_kernel[..., ki, kj, :, :] = np.matmul(
+            padded[window].reshape(lead + (-1, padded.shape[-1])).swapaxes(-1, -2), flat_g)
+    return g_kernel, g_pre.sum(axis=(-3, -2))
 
 
 def _input_grad(in_shape, padded, params, g_pre):
     """Input half: the patch gradient from the gated gradient."""
     g_padded = np.zeros_like(padded)
-    for ki, kj, rows, cols in _taps(params, *g_pre.shape[:2]):
-        g_padded[rows, cols, :] += g_pre @ params.kernel[ki, kj].T
+    for ki, kj, window in _taps(params, *g_pre.shape[-3:-1]):
+        g_padded[window] += g_pre @ params.kernel[ki, kj].T
     p = params.padding
-    return g_padded[p : p + in_shape[0], p : p + in_shape[1], :] if p else g_padded
+    return g_padded[..., p : p + in_shape[-3], p : p + in_shape[-2], :] if p else g_padded
 
 
 def conv_param_grads(x, params, fmap, g_out):
@@ -177,7 +187,7 @@ def conv_backward(x, params, g_out):
     """
     x, g_out = _check_backward(x, params, g_out)
     padded = _pad(x, params.padding)
-    g_pre = g_out * (_preactivation(padded, params, *g_out.shape[:2]) > 0.0)
+    g_pre = g_out * (_preactivation(padded, params, *g_out.shape[-3:-1]) > 0.0)
     g_kernel, g_bias = _param_grads(padded, params, g_pre)
     return _input_grad(x.shape, padded, params, g_pre), g_kernel, g_bias
 

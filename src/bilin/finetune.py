@@ -11,19 +11,44 @@ error rate fails to improve by more than MIN_IMPROVEMENT for
 Dropout is inverted (activations scaled by 1/(1-rate) while training),
 so evaluation applies the learned weights unchanged and is fully
 deterministic.
+
+Samples run in stacked passes.  Each training mini-batch, and each
+clean loss pass, is cut into chunks: runs of consecutive samples with
+one patch shape, as many as keep each stacked array (patches, feature
+maps, descriptors, kernel gradients) within STACK_BYTES.  A chunk goes
+through conv, encoding, head and back as one ``(n, H, W, C)`` array; a
+chunk of one patch, which is how a sample with an array larger than half
+the budget always runs, passes the patch itself and makes the calls of a
+single sample.  Every per-sample result has the
+bits of that sample run alone, the backward pass reuses the forward
+pass's pooled matrix, norm and descriptor, and the gradients and the
+loss are summed in sample order, so the results do not depend on the
+chunking: they are byte-identical to one sample at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode, encode_backward_shared
-from .errors import DataError, DivergenceError
-from .extractor import conv_forward, conv_param_grads
+from .encoder import encode, encode_shared
+from .errors import DataError, DivergenceError, ShapeError
+from .extractor import conv_forward, conv_output_shape, conv_param_grads
 
 # Absolute validation-error improvement below this counts as "no change"
 # for the learning-rate schedule.
 MIN_IMPROVEMENT = 1e-4
+
+# Bytes of one sample's largest array that one stacked pass may hold:
+# 14 of many_ids' 6x6x16 patches, while a 27x27x512 patch runs alone.
+# Chosen by measurement on the many_ids data (2-core host, one BLAS
+# thread): a loss pass over its 1200 patches takes 127 ms one patch at a
+# time, 62 ms at 3 patches per chunk and 26 ms at 14.  56 patches per
+# chunk (18 ms) or more are faster still, but a chunk holds a few arrays
+# of this size per sample at once: the stage's peak RSS (49.5 MB one
+# patch at a time) grew by 0.3 MB at 64 KiB, 0.35 MB at 128 KiB and
+# 0.7 MB at 256 KiB.
+STACK_BYTES = 1 << 16
 
 
 @dataclass
@@ -83,32 +108,122 @@ class TrainConfig:
 
 
 def _log_softmax(logits):
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Row-wise log-softmax of (n, n_classes) logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def sample_descriptor(patch, extractor):
-    """Feature map and symmetric bilinear descriptor for one patch."""
-    fmap = conv_forward(patch, extractor)
-    return fmap, encode(fmap)
+def _logits(head, desc):
+    """(n, n_classes) logits of (n, dim) descriptors, one gemv per row."""
+    return np.matmul(head.weights, desc[:, :, None])[:, :, 0] + head.bias
+
+
+def _sample_bytes(shape, extractor):
+    """Bytes of the largest float64 array that one sample of patch shape
+    ``shape`` adds to a stacked pass: its patch, its feature map (and the
+    map's gradient), its pooled matrix (and descriptor), or its kernel
+    gradient, whichever is largest."""
+    out_h, out_w = conv_output_shape(shape[0], shape[1], extractor)
+    c_out = extractor.kernel.shape[3]
+    return 8 * max(math.prod(shape), out_h * out_w * c_out, c_out * c_out,
+                   extractor.kernel.size)
+
+
+def _chunks(patches, indices, extractor):
+    """Runs of consecutive samples that share a patch shape and together
+    hold at most STACK_BYTES in each per-sample array (or one sample
+    whose arrays are larger)."""
+    run, shape, room = [], None, 0
+    for i in indices:
+        patch_shape = np.shape(patches[i])
+        if len(patch_shape) != 3:  # a stack of 2-D patches would pass for one patch
+            raise ShapeError(f"patch {i}: expected (H, W, C), got shape {patch_shape}")
+        if run and (patch_shape != shape or len(run) == room):
+            yield run
+            run = []
+        if not run:
+            shape = patch_shape
+            room = max(1, STACK_BYTES // _sample_bytes(shape, extractor))
+        run.append(i)
+    if run:
+        yield run
+
+
+def _forward(patches, run, extractor):
+    """Conv input, feature maps and encoding of one chunk: a single patch
+    as itself, several as an (n, H, W, C) stack."""
+    x = patches[run[0]] if len(run) == 1 else np.stack([patches[i] for i in run])
+    fmap = conv_forward(x, extractor)
+    return x, fmap, encode_shared(fmap)
+
+
+def _add_in_order(total, terms):
+    """Add each of ``terms`` to ``total`` in turn: the summation order of a
+    loop over the samples, whatever the chunks."""
+    for term in terms:
+        total += term
+
+
+def _labels_for(patches, labels, n_classes, name):
+    """``labels`` as an int array, checked to be aligned with ``patches``,
+    non-empty and in ``[0, n_classes)``."""
+    labels = np.array([int(l) for l in labels], dtype=np.intp)
+    if len(patches) != len(labels) or not len(labels):
+        raise DataError(f"{name} patches and labels must be non-empty and aligned")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise DataError(f"{name} labels must lie in [0, {n_classes})")
+    return labels
 
 
 def predict_logits(patch, extractor, head):
-    _, desc = sample_descriptor(patch, extractor)
+    desc = encode(conv_forward(patch, extractor))
     return head.weights @ desc + head.bias
 
 
 def mean_loss_and_error(patches, labels, extractor, head):
-    """Clean (dropout-free) mean cross-entropy and error rate."""
+    """Clean (dropout-free) mean cross-entropy and error rate.
+
+    Raises DataError unless ``labels`` is non-empty, aligned with
+    ``patches`` and in ``[0, head.n_classes)``.
+    """
+    labels = _labels_for(patches, labels, head.n_classes, "evaluated")
     total = 0.0
     wrong = 0
-    for patch, label in zip(patches, labels):
-        logp = _log_softmax(predict_logits(patch, extractor, head))
-        total += -float(logp[label])
-        if int(np.argmax(logp)) != label:
-            wrong += 1
+    for run in _chunks(patches, range(len(labels)), extractor):
+        _, _, enc = _forward(patches, run, extractor)
+        logp = _log_softmax(_logits(head, enc.desc.reshape(len(run), -1)))
+        y = labels[run]
+        for loss in (-logp[np.arange(len(run)), y]).tolist():
+            total += loss
+        wrong += int(np.count_nonzero(logp.argmax(axis=1) != y))
     n = len(labels)
     return total / n, wrong / n
+
+
+def _add_gradients(grads, patches, run, y, extractor, head, cfg, rng, trace):
+    """Add one chunk's per-sample gradients to ``grads`` (head weights, head
+    bias, kernel, conv bias), sample by sample."""
+    g_w, g_b, g_kernel, g_bias = grads
+    x, fmap, enc = _forward(patches, run, extractor)
+    desc = enc.desc.reshape(len(run), -1)
+    mask = None
+    if cfg.dropout_rate > 0.0:
+        mask = (rng.random(desc.shape) >= cfg.dropout_rate) / (1.0 - cfg.dropout_rate)
+        desc = desc * mask
+    logp = _log_softmax(_logits(head, desc))
+    if not np.all(np.isfinite(logp)):
+        raise DivergenceError("non-finite training loss", trace)
+    g_logits = np.exp(logp)
+    g_logits[np.arange(len(run)), y] -= 1.0
+    _add_in_order(g_w, map(np.outer, g_logits, desc))
+    _add_in_order(g_b, g_logits)
+    g_desc = np.matmul(head.weights.T, g_logits[:, :, None])[:, :, 0]
+    if mask is not None:
+        g_desc = g_desc * mask
+    g_fmap = enc.backward(g_desc.reshape(enc.desc.shape))
+    g_k, g_cb = conv_param_grads(x, extractor, fmap, g_fmap)
+    _add_in_order(g_kernel, g_k.reshape((-1,) + g_kernel.shape))
+    _add_in_order(g_bias, g_cb.reshape(-1, g_bias.size))
 
 
 def finetune_softmax(extractor, head, patches, labels, cfg,
@@ -133,25 +248,26 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
 
     Raises
     ------
-    DataError : bad labels or an empty class.
+    DataError : bad labels, an empty class, or a validation set that is
+        half given, empty, misaligned or has labels out of range.
+    NumericError : a patch gives a non-finite feature map.
     DivergenceError : the loss became non-finite (trace attached).
     """
     cfg.validate()
-    labels = [int(l) for l in labels]
-    if len(patches) != len(labels) or not labels:
-        raise DataError("patches and labels must be non-empty and aligned")
     n_classes = head.n_classes
-    if min(labels) < 0 or max(labels) >= n_classes:
-        raise DataError(f"labels must lie in [0, {n_classes})")
+    labels = _labels_for(patches, labels, n_classes, "training")
     counts = np.bincount(labels, minlength=n_classes)
     if np.any(counts == 0):
         raise DataError(f"classes without samples: {np.where(counts == 0)[0].tolist()}")
+    if (val_patches is None) != (val_labels is None):
+        raise DataError("give both val_patches and val_labels, or neither")
+    if val_patches is not None:
+        val_labels = _labels_for(val_patches, val_labels, n_classes, "validation")
 
     extractor = extractor.copy()
     head = head.copy()
     rng = np.random.default_rng(cfg.seed)
     lr_lower, lr_last = cfg.lr_lower, cfg.lr_last
-    keep = 1.0 - cfg.dropout_rate
 
     loss0, _ = mean_loss_and_error(patches, labels, extractor, head)
     if not np.isfinite(loss0):
@@ -164,32 +280,12 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
         order = rng.permutation(len(labels))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            g_w = np.zeros_like(head.weights)
-            g_b = np.zeros_like(head.bias)
-            g_kernel = np.zeros_like(extractor.kernel)
-            g_bias = np.zeros_like(extractor.bias)
-            for i in batch:
-                fmap, desc = sample_descriptor(patches[i], extractor)
-                if cfg.dropout_rate > 0.0:
-                    mask = (rng.random(desc.shape) >= cfg.dropout_rate) / keep
-                    dropped = desc * mask
-                else:
-                    mask = None
-                    dropped = desc
-                logp = _log_softmax(head.weights @ dropped + head.bias)
-                if not np.all(np.isfinite(logp)):
-                    raise DivergenceError("non-finite training loss", trace)
-                g_logits = np.exp(logp)
-                g_logits[labels[i]] -= 1.0
-                g_w += np.outer(g_logits, dropped)
-                g_b += g_logits
-                g_desc = head.weights.T @ g_logits
-                if mask is not None:
-                    g_desc = g_desc * mask
-                g_fmap = encode_backward_shared(fmap, g_desc)
-                g_k, g_cb = conv_param_grads(patches[i], extractor, fmap, g_fmap)
-                g_kernel += g_k
-                g_bias += g_cb
+            grads = [np.zeros_like(a) for a in
+                     (head.weights, head.bias, extractor.kernel, extractor.bias)]
+            for run in _chunks(patches, batch, extractor):
+                _add_gradients(grads, patches, run, labels[run], extractor, head,
+                               cfg, rng, trace)
+            g_w, g_b, g_kernel, g_bias = grads
             scale = 1.0 / len(batch)
             head.weights -= lr_last * scale * g_w
             head.bias -= lr_last * scale * g_b

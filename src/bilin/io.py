@@ -31,6 +31,7 @@ succeeds, so a manifest always names a whole store (see StoreWriter).
 """
 
 import os
+import re
 import struct
 import tokenize
 from dataclasses import dataclass
@@ -197,10 +198,15 @@ class Outputs:
     :meth:`commit` renames the staged files in the order they were named.
     Leaving the ``with`` block without a commit deletes every temporary
     and every directory the run made.
+
+    ``owns``, a regular expression, names the files of ``out_dir`` that
+    a run replaces as a set: the commit also removes each file whose name
+    matches it in full and that the run did not stage.
     """
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, owns=None):
         self.out_dir = Path(out_dir)
+        self._owns = owns
         self._names = []
         self._made = []  # directories this run created, deepest first
 
@@ -220,6 +226,10 @@ class Outputs:
     def commit(self):
         for name in self._names:
             os.replace(self.out_dir / f"{name}.tmp", self.out_dir / name)
+        if self._owns is not None and self.out_dir.exists():
+            for path in self.out_dir.iterdir():
+                if re.fullmatch(self._owns, path.name) and path.name not in self._names:
+                    path.unlink()
         self._names, self._made = [], []  # the directories hold the outputs now
 
     def __exit__(self, *exc_info):

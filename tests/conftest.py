@@ -3,13 +3,22 @@
 The oracles here are deliberately written as plain loops so they share
 no code path with the library: pooling as an explicit per-location
 outer-product sum, convolution as a six-deep loop, and the rank metrics
-as direct counting over probe results.
+as direct counting over probe results.  The fine-tuning oracle runs one
+sample at a time through the public per-map functions, with the
+encoder's normalisation and its backward written out.
 """
 
 import numpy as np
 import pytest
 
-from bilin.extractor import ConvParams
+from bilin.encoder import (
+    bilinear_pool,
+    bilinear_pool_backward,
+    signed_sqrt,
+    signed_sqrt_backward,
+)
+from bilin.extractor import ConvParams, conv_forward, conv_param_grads
+from bilin.finetune import MIN_IMPROVEMENT
 
 
 def pool_oracle(a, b):
@@ -122,3 +131,108 @@ def hinge_objective(w, b, X, y, reg_c, weights=None):
     if weights is not None:
         hinge = hinge * weights
     return 0.5 * (float(w @ w) + float(b) ** 2) + reg_c * float(hinge.sum())
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def _sample_descriptor(patch, extractor):
+    """Feature map, pooled vector, signed root, norm and descriptor."""
+    fmap = conv_forward(patch, extractor)
+    x = bilinear_pool(fmap).reshape(-1)
+    y = signed_sqrt(x)
+    norm = float(np.linalg.norm(y))
+    return fmap, x, y, norm, (y / norm if norm != 0.0 else y)
+
+
+def _encode_backward_shared(fmap, x, y, norm, g_desc):
+    if norm == 0.0:
+        g_y = np.zeros_like(y)
+    else:
+        z = y / norm
+        g_y = (g_desc - z * float(z @ g_desc)) / norm
+    g_x = signed_sqrt_backward(x, g_y)
+    g_a, g_b = bilinear_pool_backward(fmap, fmap, g_x.reshape(fmap.shape[2], -1))
+    return g_a + g_b
+
+
+def _mean_loss_and_error(patches, labels, extractor, head):
+    total = 0.0
+    wrong = 0
+    for patch, label in zip(patches, labels):
+        desc = _sample_descriptor(patch, extractor)[-1]
+        logp = _log_softmax(head.weights @ desc + head.bias)
+        total += -float(logp[label])
+        if int(np.argmax(logp)) != label:
+            wrong += 1
+    n = len(labels)
+    return total / n, wrong / n
+
+
+def finetune_oracle(extractor, head, patches, labels, cfg,
+                    val_patches=None, val_labels=None):
+    """``finetune_softmax`` one sample at a time, for valid inputs: every
+    forward and backward pass, and every sum, runs per sample in order."""
+    labels = [int(l) for l in labels]
+    extractor = extractor.copy()
+    head = head.copy()
+    rng = np.random.default_rng(cfg.seed)
+    lr_lower, lr_last = cfg.lr_lower, cfg.lr_last
+    keep = 1.0 - cfg.dropout_rate
+
+    loss0, _ = _mean_loss_and_error(patches, labels, extractor, head)
+    trace = [loss0]
+    best_val_err = np.inf
+    stall = 0
+
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            g_w = np.zeros_like(head.weights)
+            g_b = np.zeros_like(head.bias)
+            g_kernel = np.zeros_like(extractor.kernel)
+            g_bias = np.zeros_like(extractor.bias)
+            for i in batch:
+                fmap, x, y, norm, desc = _sample_descriptor(patches[i], extractor)
+                if cfg.dropout_rate > 0.0:
+                    mask = (rng.random(desc.shape) >= cfg.dropout_rate) / keep
+                    dropped = desc * mask
+                else:
+                    mask = None
+                    dropped = desc
+                logp = _log_softmax(head.weights @ dropped + head.bias)
+                g_logits = np.exp(logp)
+                g_logits[labels[i]] -= 1.0
+                g_w += np.outer(g_logits, dropped)
+                g_b += g_logits
+                g_desc = head.weights.T @ g_logits
+                if mask is not None:
+                    g_desc = g_desc * mask
+                g_fmap = _encode_backward_shared(fmap, x, y, norm, g_desc)
+                g_k, g_cb = conv_param_grads(patches[i], extractor, fmap, g_fmap)
+                g_kernel += g_k
+                g_bias += g_cb
+            scale = 1.0 / len(batch)
+            head.weights -= lr_last * scale * g_w
+            head.bias -= lr_last * scale * g_b
+            extractor.kernel -= lr_lower * scale * g_kernel
+            extractor.bias -= lr_lower * scale * g_bias
+
+        epoch_loss, val_err = _mean_loss_and_error(patches, labels, extractor, head)
+        trace.append(epoch_loss)
+        if val_patches is not None:
+            _, val_err = _mean_loss_and_error(val_patches, val_labels, extractor, head)
+        if val_err < best_val_err - MIN_IMPROVEMENT:
+            best_val_err = val_err
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                lr_lower /= cfg.lr_decay_factor
+                lr_last /= cfg.lr_decay_factor
+                stall = 0
+
+    return extractor, head, trace

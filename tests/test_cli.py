@@ -308,6 +308,21 @@ class TestEval:
         assert (out_dir / "det_s01.csv").exists()
         assert (out_dir / "run_config.txt").exists()
 
+    def test_rerun_on_fewer_splits_removes_their_curves(self, tmp_path):
+        summary_path = run_pipeline(tmp_path, "three", synth_extra=("--splits", "3"))
+        res = summary_path.parent
+        (res / "notes.txt").write_text("kept\n")
+        split_1 = {name: (res / name).read_bytes() for name in ("cmc_s01.csv", "det_s01.csv")}
+        assert (res / "det_s03.csv").exists()
+        assert main(["eval", "--data", str(tmp_path / "data_three"),
+                     "--descriptors", str(tmp_path / "desc_three"),
+                     "--models", str(tmp_path / "models_three"), "--out", str(res),
+                     "--split", "1"]) == 0
+        assert sorted(p.name for p in res.iterdir()) == [
+            "cmc_s01.csv", "det_s01.csv", "notes.txt", "run_config.txt", "summary.json"]
+        assert {name: (res / name).read_bytes() for name in split_1} == split_1
+        assert list(json.loads(summary_path.read_text())["splits"]) == ["1"]
+
     def test_missing_models_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
         desc = tmp_path / "desc"

@@ -8,6 +8,7 @@ from bilin.encoder import (
     encode,
     encode_backward,
     encode_backward_shared,
+    encode_shared,
     finite_diff_check,
     first_order_descriptor,
     l2_normalize,
@@ -230,6 +231,25 @@ class TestL2Normalize:
     def test_backward_zero_input(self):
         assert not l2_normalize_backward(np.zeros(3), np.ones(3)).any()
 
+    def test_array_is_normalized_as_one_vector(self, rng):
+        m = rng.standard_normal((3, 4))
+        assert l2_normalize(m).tobytes() == (m / np.linalg.norm(m)).tobytes()
+        assert l2_normalize(np.array(-2.5)).shape == ()
+        assert l2_normalize(np.array(-2.5)) == -1.0
+        g = rng.standard_normal((3, 4))
+        assert l2_normalize_backward(m, g).tobytes() == (
+            l2_normalize_backward(m.reshape(-1), g.reshape(-1)).reshape(3, 4).tobytes())
+        assert not l2_normalize_backward(np.array(0.0), np.array(1.0))
+
+    def test_needs_no_numpy_2_function(self, rng, monkeypatch):
+        # numpy 1.x has no vecdot; the 1-D and stacked paths must not use it
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        v = rng.standard_normal(5)
+        l2_normalize(v)
+        l2_normalize_backward(v, v)
+        encode_shared(rng.random((2, 3, 3, 2))).backward(rng.standard_normal((2, 4)))
+        encode_backward(rng.random((3, 3, 2)), None, rng.standard_normal(4))
+
     def test_backward_matches_finite_differences(self, rng):
         v0 = rng.standard_normal(5) + 2.0
         r = rng.standard_normal(5)
@@ -313,6 +333,43 @@ class TestEncode:
 
         report = finite_diff_check(fn, a0, step=1e-4)
         assert report.max_rel_error < 1e-4
+
+
+class TestSharedEncoding:
+    """A stack encodes and backpropagates map by map, bit for bit."""
+
+    def stack(self, rng):
+        maps = rng.random((5, 3, 4, 3))
+        maps[1] = 0.0  # a zero descriptor and a zero norm
+        maps[2, ..., 0] = 0.0
+        return maps
+
+    def test_stack_gives_each_maps_descriptor(self, rng):
+        maps = self.stack(rng)
+        enc = encode_shared(maps)
+        assert enc.desc.shape == (5, 9) and enc.norm.shape == (5,)
+        for a, desc in zip(maps, enc.desc):
+            assert desc.tobytes() == encode(a).tobytes()
+            assert encode_shared(a).desc.tobytes() == desc.tobytes()
+
+    def test_backward_equals_two_stream_reference(self, rng):
+        maps = self.stack(rng)
+        g = rng.standard_normal((5, 9))
+        g_maps = encode_shared(maps).backward(g)
+        for a, g_desc, g_map in zip(maps, g, g_maps):
+            g_a, g_b = encode_backward(a, a, g_desc)
+            assert g_map.tobytes() == (g_a + g_b).tobytes()
+            assert encode_backward_shared(a, g_desc).tobytes() == g_map.tobytes()
+
+    def test_rejects_bad_shapes_and_values(self, rng):
+        with pytest.raises(ShapeError):
+            encode_shared(rng.random((2, 2, 2, 2, 2)))
+        with pytest.raises(ShapeError):
+            encode_shared(rng.random((2, 3, 3, 2))).backward(np.zeros((2, 3)))
+        bad = rng.random((2, 3, 3, 2))
+        bad[1, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError):
+            encode_shared(bad)
 
 
 class TestFirstOrderDescriptor:

@@ -213,6 +213,34 @@ class TestConvParamGrads:
             conv_param_grads(x, p, args["fmap"], args["g_out"])
 
 
+class TestStacks:
+    """An (N, H, W, C) stack gives each patch's result, bit for bit."""
+
+    @pytest.mark.parametrize("k, stride, padding", [(1, 1, 0), (2, 2, 1), (3, 1, 1)])
+    def test_each_function_matches_per_patch_calls(self, rng, k, stride, padding):
+        xs = rng.random((4, 7, 6, 3))
+        p = ConvParams(rng.standard_normal((k, k, 3, 4)), rng.standard_normal(4),
+                       stride, padding)
+        fmaps = conv_forward(xs, p)
+        g_out = rng.standard_normal(fmaps.shape)
+        g_k, g_b = conv_param_grads(xs, p, fmaps, g_out)
+        g_xs, g_k_full, g_b_full = conv_backward(xs, p, g_out)
+        for i, x in enumerate(xs):
+            fmap = conv_forward(x, p)
+            assert fmaps[i].tobytes() == fmap.tobytes()
+            k_one, b_one = conv_param_grads(x, p, fmap, g_out[i])
+            assert g_k[i].tobytes() == k_one.tobytes()
+            assert g_b[i].tobytes() == b_one.tobytes()
+            for full, one in zip((g_xs, g_k_full, g_b_full), conv_backward(x, p, g_out[i])):
+                assert full[i].tobytes() == one.tobytes()
+
+    def test_other_ranks_raise(self, rng):
+        p = make_conv(0, k=2, c_in=2, c_out=3)
+        for shape in ((4, 4), (1, 2, 4, 4, 2)):
+            with pytest.raises(ShapeError):
+                conv_forward(rng.random(shape), p)
+
+
 class TestEndToEndGradient:
     def test_conv_into_encoder_chain(self, rng):
         p = make_conv(11)

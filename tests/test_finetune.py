@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import finetune_oracle
 
 from bilin import extractor as extractor_module
 from bilin import finetune
-from bilin.errors import DataError, DivergenceError
-from bilin.extractor import conv_backward, init_conv_params
+from bilin.errors import DataError, DivergenceError, NumericError, ShapeError
+from bilin.extractor import ConvParams, conv_backward, init_conv_params
 from bilin.finetune import (
     TrainConfig,
     finetune_softmax,
@@ -216,6 +219,94 @@ class TestExtractorGradients:
         assert len(trace) == self.cfg.epochs + 1
 
 
+class TestStackedPassesMatchPerSampleOracle:
+    """Stacked chunks give the bytes of one sample at a time."""
+
+    def check(self, patches, labels, cfg, extractor=None, head=None, **val):
+        default_extractor, default_head = fresh_stack()
+        extractor = extractor or default_extractor
+        head = head or default_head
+        got = finetune_softmax(extractor, head, patches, labels, cfg, **val)
+        want = finetune_oracle(extractor, head, patches, labels, cfg, **val)
+        (ext, out_head, trace), (ext_o, head_o, trace_o) = got, want
+        assert ext.kernel.tobytes() == ext_o.kernel.tobytes()
+        assert ext.bias.tobytes() == ext_o.bias.tobytes()
+        assert out_head.weights.tobytes() == head_o.weights.tobytes()
+        assert out_head.bias.tobytes() == head_o.bias.tobytes()
+        assert np.array(trace).tobytes() == np.array(trace_o).tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 100])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_batch_sizes_dropout_and_validation(self, toy, batch_size, dropout_rate,
+                                                with_val):
+        patches, labels = toy
+        val = {}
+        if with_val:
+            val_patches, val_labels = correlation_task(3, seed=4)
+            val = dict(val_patches=val_patches, val_labels=val_labels)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, dropout_rate=dropout_rate,
+                          seed=7, patience=1)
+        self.check(patches, labels, cfg, **val)
+
+    def test_mixed_spatial_shapes(self):
+        small, small_labels = correlation_task(5, hw=5, seed=1)
+        large, large_labels = correlation_task(5, hw=7, seed=2)
+        # runs of each shape, of several lengths, broken up by the other
+        order = [0, 1, 10, 2, 3, 4, 11, 12, 13, 5, 14, 15, 16, 17, 18, 6, 7, 8, 9, 19]
+        pool = small + large
+        pool_labels = small_labels + large_labels
+        patches = [pool[i] for i in order]
+        labels = [pool_labels[i] for i in order]
+        self.check(patches, labels, TrainConfig(epochs=3, batch_size=4, seed=2))
+
+    def test_stride_and_padding(self, toy):
+        rng = np.random.default_rng(3)
+        extractor = ConvParams(rng.normal(0.0, 0.5, (3, 3, 2, 4)), np.zeros(4),
+                               stride=2, padding=1)
+        self.check(*toy, TrainConfig(epochs=3, batch_size=5, seed=4),
+                   extractor=extractor)
+
+    @pytest.mark.parametrize("patches_per_chunk", [1, 3])
+    def test_small_chunk_budget(self, toy, monkeypatch, patches_per_chunk):
+        patches, labels = toy
+        sample_bytes = finetune._sample_bytes(patches[0].shape, fresh_stack()[0])
+        monkeypatch.setattr(finetune, "STACK_BYTES", patches_per_chunk * sample_bytes)
+        self.check(patches, labels, TrainConfig(epochs=3, batch_size=8, seed=6))
+
+    def test_many_output_channels_shrink_the_chunks(self, toy):
+        # 64 channels pool to 4096-d descriptors, 57x the 6x6x2 patch bytes
+        patches, labels = toy
+        extractor = init_conv_params(2, 2, 64, seed=1)
+        head = init_softmax_head(2, 64 * 64, seed=1)
+        sample_bytes = finetune._sample_bytes(patches[0].shape, extractor)
+        assert sample_bytes == 8 * 64 * 64 > 8 * patches[0].size
+        runs = list(finetune._chunks(patches, range(len(patches)), extractor))
+        assert max(map(len, runs)) == finetune.STACK_BYTES // sample_bytes
+        self.check(patches, labels, TrainConfig(epochs=2, batch_size=8, seed=3),
+                   extractor=extractor, head=head)
+
+    def test_conv_passes_scale_with_chunks_not_samples(self, monkeypatch):
+        patches, labels = correlation_task(32)
+        passes = []
+        preactivation = extractor_module._preactivation
+
+        def counted(*args):
+            passes.append(1)
+            return preactivation(*args)
+
+        monkeypatch.setattr(extractor_module, "_preactivation", counted)
+        extractor, head = fresh_stack()
+        finetune_softmax(extractor, head, patches, labels,
+                         TrainConfig(epochs=1, batch_size=8, seed=0))
+        batches = len(patches) // 8
+        sample_bytes = finetune._sample_bytes(patches[0].shape, extractor)
+        chunks = math.ceil(len(patches) * sample_bytes / finetune.STACK_BYTES)
+        # one pass per mini-batch, and the chunks of the loss passes before
+        # and after the epoch; one pass per sample would make 3 * 64
+        assert len(passes) <= batches + 2 * chunks
+
+
 class TestValidation:
     def test_empty_class_rejected(self, toy):
         patches, _ = toy
@@ -245,6 +336,58 @@ class TestValidation:
             with pytest.raises(DivergenceError) as info:
                 finetune_softmax(extractor, head, patches, labels, cfg)
         assert isinstance(info.value.trace, list)
+
+    def test_non_finite_patch_raises_numeric_error(self, toy):
+        patches, labels = toy
+        for bad_value in (np.nan, np.inf):
+            bad = [p.copy() for p in patches]
+            bad[5][1, 2, 0] = bad_value
+            extractor, head = fresh_stack()
+            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+                finetune_softmax(extractor, head, bad, labels, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("given", ["val_patches", "val_labels"])
+    def test_validation_set_needs_patches_and_labels(self, toy, given):
+        patches, labels = toy
+        extractor, head = fresh_stack()
+        with pytest.raises(DataError):
+            finetune_softmax(extractor, head, patches, labels, TrainConfig(epochs=1),
+                             **{given: patches[:4] if given == "val_patches" else labels[:4]})
+
+    def test_empty_validation_set(self, toy):
+        patches, labels = toy
+        extractor, head = fresh_stack()
+        with pytest.raises(DataError):
+            finetune_softmax(extractor, head, patches, labels, TrainConfig(epochs=1),
+                             val_patches=[], val_labels=[])
+
+    @pytest.mark.parametrize("bad_value", [2, -1])
+    def test_validation_label_out_of_range(self, toy, bad_value):
+        patches, labels = toy
+        extractor, head = fresh_stack()
+        with pytest.raises(DataError):
+            finetune_softmax(extractor, head, patches, labels, TrainConfig(epochs=1),
+                             val_patches=patches[:3], val_labels=[0, 1, bad_value])
+
+    def test_misaligned_validation_set(self, toy):
+        patches, labels = toy
+        extractor, head = fresh_stack()
+        with pytest.raises(DataError):
+            finetune_softmax(extractor, head, patches, labels, TrainConfig(epochs=1),
+                             val_patches=patches[:4], val_labels=labels[:3])
+
+    def test_patches_other_than_3d_raise_shape_error(self, toy):
+        patches, labels = toy
+        extractor, head = fresh_stack()
+        # several 2-D patches must not stack into what looks like one patch
+        for bad in ([p[:, :, 0] for p in patches], [p[None] for p in patches]):
+            with pytest.raises(ShapeError):
+                finetune_softmax(extractor, head, bad, labels, TrainConfig(epochs=1))
+
+    def test_loss_of_empty_set(self):
+        extractor, head = fresh_stack()
+        with pytest.raises(DataError):
+            mean_loss_and_error([], [], extractor, head)
 
     def test_head_needs_two_classes(self):
         with pytest.raises(DataError):

@@ -377,6 +377,20 @@ class TestOutputs:
         assert [p.name for p in (tmp_path / "kept").iterdir()] == ["previous.txt"]
         assert (tmp_path / "kept" / "previous.txt").read_text() == "previous"
 
+    def test_commit_replaces_the_owned_files_as_a_set(self, tmp_path):
+        for name in ("c_1.csv", "c_2.csv", "c_x.csv", "notes.txt"):
+            (tmp_path / name).write_text("old")
+        with pytest.raises(ValueError):
+            with Outputs(tmp_path, owns=r"c_\d\.csv") as out:
+                out.path("c_1.csv").write_text("new")
+                raise ValueError
+        assert len(list(tmp_path.iterdir())) == 4  # a failed run removes nothing
+        with Outputs(tmp_path, owns=r"c_\d\.csv") as out:
+            out.path("c_1.csv").write_text("new")
+            out.commit()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c_1.csv", "c_x.csv", "notes.txt"]
+        assert (tmp_path / "c_1.csv").read_text() == "new"
+
     def test_nothing_named_makes_no_directory(self, tmp_path):
         with Outputs(tmp_path / "a") as out:
             out.commit()
