@@ -8,18 +8,19 @@ collapse it to one score per gallery identity:
   then a single scoring pass (the pooled vector is deliberately not
   re-normalized, so scores stay on the scale the models were trained on).
 
-From the per-template results the usual open-set curves follow: CMC
-(recall of the true identity within the top r ranks, mated probes
-only), and DET (false positive identification rate of impostors versus
-false negative identification rate of mated probes as the acceptance
-threshold sweeps).  FNIR here follows the literal reading "true
-identity's score below threshold"; ``rank1_conditioned`` additionally
-counts mated probes whose true identity is not ranked first, the
-variant used by some evaluation reports.
+A split's pooled scores form one (templates, identities) matrix, and
+three arrays of it give the open-set curves: CMC (recall of the true
+identity within the top r ranks, mated probes only), and DET (false
+positive identification rate of impostors versus false negative
+identification rate of mated probes as the acceptance threshold sweeps).
+FNIR here follows the literal reading "true identity's score below
+threshold"; ``rank1_conditioned`` additionally counts mated probes whose
+true identity is not ranked first, a variant some evaluation reports use.
 """
 
 import csv
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,9 @@ def pool_features(descriptors):
     if not len(descriptors):
         raise ProtocolError("cannot pool an empty descriptor list")
     arrs = [np.asarray(d) for d in descriptors]
-    dim = arrs[0].shape
-    for a in arrs[1:]:
-        if a.shape != dim:
-            raise ShapeError(f"descriptor shapes differ: {dim} vs {a.shape}")
+    shapes = sorted({a.shape for a in arrs})
+    if len(shapes) > 1:
+        raise ShapeError(f"descriptor shapes differ: {shapes}")
     return np.maximum.reduce(arrs)
 
 
@@ -53,64 +53,62 @@ def pool_scores(per_media_scores):
 
 @dataclass
 class ProbeResult:
-    """Scores and ranking of one probe template against the gallery."""
+    """One probe template's id -> score dict and its ids, best first;
+    the curves accept a list of these as well as ProbeRanks."""
 
     template_id: str
     subject_id: str
     scores: dict
     ranked: list
 
-    @property
-    def mated(self):
-        return self.subject_id in self.scores
 
-    def rank_of_true(self):
-        """1-based rank of the true identity; None for impostors."""
-        if not self.mated:
-            return None
-        return self.ranked.index(self.subject_id) + 1
+# All the curves read of a split's probes: the true identity's 1-based
+# rank and its score, one entry per mated probe, and each impostor's best.
+ProbeRanks = namedtuple("ProbeRanks", "rank true_score impostor_best")
 
-    def max_score(self):
-        return max(self.scores.values())
+
+def _ranks_of(results):
+    """The ProbeRanks of a ProbeResult list; ProbeRanks pass through."""
+    if isinstance(results, ProbeRanks):
+        return results
+    mated = [r for r in results if r.subject_id in r.scores]
+    return ProbeRanks(np.array([r.ranked.index(r.subject_id) + 1 for r in mated]),
+                      np.array([r.scores[r.subject_id] for r in mated]),
+                      np.array([max(r.scores.values()) for r in results
+                                if r.subject_id not in r.scores]))
+
+
+def rank_scores(scores, subject_ids, identity_ids):
+    """ProbeRanks of a (templates, k) score matrix: row i scores a probe
+    of ``subject_ids[i]``, column j the identity ``identity_ids[j]``.
+    The ids ascend and a tie goes to the lower id, so the true rank is 1
+    + the ids scoring above the true score + those tied with it before."""
+    column = {ident: j for j, ident in enumerate(identity_ids)}
+    true_col = np.array([column.get(s, -1) for s in subject_ids], dtype=np.intp)
+    mated = true_col >= 0
+    rows, cols = scores[mated], true_col[mated]
+    true = rows[np.arange(len(rows)), cols][:, None]
+    ahead = (rows > true) | ((rows == true) & (np.arange(rows.shape[1]) < cols[:, None]))
+    return ProbeRanks(1 + ahead.sum(axis=1), true[:, 0],
+                      scores[~mated].max(axis=1, initial=-np.inf))
 
 
 def identify(template, descriptors, gallery, strategy="score"):
-    """Score one probe template against every gallery identity.
-
-    Parameters
-    ----------
-    template : protocol.Template
-    descriptors : list of per-medium descriptors, aligned one-to-one
-        with ``template.media``
-    gallery : svm.GalleryModelSet
-    strategy : "score" or "feature"
-
-    Ties in the ranking are broken by ascending identity id, so results
-    are deterministic across platforms.
+    """Pooled scores of one probe template, shape (k,); entry j scores
+    ``gallery.identity_ids[j]``.  ``descriptors`` holds one descriptor per
+    medium of ``template``, in order; ``strategy`` is "score" or "feature".
     """
     if not gallery.identity_ids:
         raise ProtocolError("gallery model set is empty")
     if len(descriptors) != len(template.media):
-        raise ProtocolError(
-            f"template {template.template_id!r} has {len(template.media)} "
-            f"media but {len(descriptors)} descriptors"
-        )
+        raise ProtocolError(f"template {template.template_id!r} has {len(template.media)} "
+                            f"media but {len(descriptors)} descriptors")
     if strategy == "score":
         # one row per medium: stacking the descriptors would copy them
-        scores = pool_scores([gallery.score_vector(d) for d in descriptors])
-    elif strategy == "feature":
-        scores = gallery.score_vector(pool_features(descriptors))
-    else:
-        raise ValueError(f"unknown pooling strategy {strategy!r}")
-    ids = gallery.identity_ids
-    # ids ascend, so a stable sort breaks score ties by ascending id
-    order = np.argsort(-scores, kind="stable")
-    return ProbeResult(
-        template_id=template.template_id,
-        subject_id=template.subject_id,
-        scores=dict(zip(ids, scores.tolist())),
-        ranked=[ids[i] for i in order],
-    )
+        return pool_scores([gallery.score_vector(d) for d in descriptors])
+    if strategy == "feature":
+        return gallery.score_vector(pool_features(descriptors))
+    raise ValueError(f"unknown pooling strategy {strategy!r}")
 
 
 @dataclass
@@ -123,15 +121,15 @@ class CmcCurve:
 
 
 def compute_cmc(results, max_rank=100):
+    """CMC curve from ProbeRanks or a ProbeResult list."""
     if max_rank < 1:
         raise ConfigError(f"max_rank must be at least 1, got {max_rank}")
-    ranks = [r.rank_of_true() for r in results if r.mated]
-    if not ranks:
+    ranks = _ranks_of(results).rank
+    if not ranks.size:
         raise ProtocolError("CMC needs at least one mated probe")
     # recall at rank r: the share of mated probes whose true rank is <= r
     hits = np.searchsorted(np.sort(ranks), np.arange(1, max_rank + 1), side="right")
-    recall = hits / len(ranks)
-    return CmcCurve(recall_at_rank=recall, mated_probe_count=len(ranks))
+    return CmcCurve(recall_at_rank=hits / ranks.size, mated_probe_count=ranks.size)
 
 
 @dataclass
@@ -144,7 +142,7 @@ class DetCurve:
 
 
 def compute_det(results, thresholds=None, rank1_conditioned=False):
-    """DET curve from probe results.
+    """DET curve from ProbeRanks or a ProbeResult list.
 
     FPIR(t) = fraction of impostor probes whose best score is >= t.
     FNIR(t) = fraction of mated probes whose true-identity score is
@@ -153,16 +151,11 @@ def compute_det(results, thresholds=None, rank1_conditioned=False):
     every relevant score plus -inf/+inf sentinels, so the curve starts
     at FPIR=1 and ends at FNIR=1.
     """
-    impostor_best = np.array([r.max_score() for r in results if not r.mated])
-    mated = [r for r in results if r.mated]
-    if impostor_best.size == 0 or not mated:
+    rank, true_scores, impostor_best = _ranks_of(results)
+    if impostor_best.size == 0 or true_scores.size == 0:
         raise ProtocolError("DET needs at least one impostor and one mated probe")
-    true_scores = np.array([r.scores[r.subject_id] for r in mated])
-
     if thresholds is None:
-        grid = np.unique(np.concatenate([
-            impostor_best, true_scores, [-np.inf, np.inf]
-        ]))
+        grid = np.unique(np.concatenate([impostor_best, true_scores, [-np.inf, np.inf]]))
     else:
         grid = np.asarray(sorted(thresholds), dtype=np.float64)
 
@@ -171,14 +164,11 @@ def compute_det(results, thresholds=None, rank1_conditioned=False):
     counted, missed = true_scores, 0
     if rank1_conditioned:
         # a true identity outranked by another is a miss at every threshold
-        first = np.array([r.ranked[0] == r.subject_id for r in mated])
+        first = rank == 1
         counted, missed = true_scores[first], int((~first).sum())
     misses = missed + np.searchsorted(np.sort(counted), grid)
-    return DetCurve(
-        thresholds=grid,
-        fpir=false_alarms / impostor_best.size,
-        fnir=misses / len(mated),
-    )
+    return DetCurve(thresholds=grid, fpir=false_alarms / impostor_best.size,
+                    fnir=misses / true_scores.size)
 
 
 def fnir_at_fpir(curve, target_fpir):
@@ -192,19 +182,15 @@ def fnir_at_fpir(curve, target_fpir):
     fpir, fnir = curve.fpir, curve.fnir
     if fpir.size == 0:
         raise ProtocolError("empty DET curve")
-    # fpir is non-increasing along ascending thresholds; find the first
-    # point at or below the target.
+    # fpir does not rise along ascending thresholds: find its first point <= target
     qualifying = fpir <= target_fpir
     if not qualifying.any():
-        raise ProtocolError(
-            f"no threshold on the curve attains FPIR <= {target_fpir}; "
-            f"auto grids include a +inf sentinel that always does"
-        )
+        raise ProtocolError(f"no threshold on the curve attains FPIR <= {target_fpir}; "
+                            f"auto grids include a +inf sentinel that always does")
     idx = int(np.argmax(qualifying))
     if fpir[idx] == target_fpir or idx == 0:
         return float(fnir[idx])
-    span = fpir[idx - 1] - fpir[idx]
-    frac = (fpir[idx - 1] - target_fpir) / span
+    frac = (fpir[idx - 1] - target_fpir) / (fpir[idx - 1] - fpir[idx])
     return float(fnir[idx - 1] + frac * (fnir[idx] - fnir[idx - 1]))
 
 
@@ -212,25 +198,32 @@ def evaluate_split(split, gallery, descriptors, strategy="score",
                    max_rank=100, rank1_conditioned=False):
     """Identify every probe template of a split and compute both curves.
 
-    ``descriptors`` maps media_id to a descriptor vector.  Probes are
-    processed in template-id order, so the result list is deterministic.
+    ``descriptors`` maps media_id to a descriptor vector.  Row i of the
+    (templates, k) score matrix holds the pooled scores of the i-th
+    probe template in template-id order, so the matrix is deterministic.
 
-    Returns (results, cmc, det, summary) where summary holds rank1,
+    Returns (scores, cmc, det, summary) where summary holds rank1,
     rank5 and FNIR at the two standard FPIR operating points.
     """
-    results = []
-    for template in sorted(split.probe, key=lambda t: t.template_id):
-        descs = [descriptors[m.media_id] for m in template.media]
-        results.append(identify(template, descs, gallery, strategy))
-    cmc = compute_cmc(results, max_rank=max_rank)
-    det = compute_det(results, rank1_conditioned=rank1_conditioned)
+    templates = sorted(split.probe, key=lambda t: t.template_id)
+    scores = np.empty((len(templates), len(gallery.identity_ids)))
+    for row, template in zip(scores, templates):
+        try:
+            descs = [descriptors[m.media_id] for m in template.media]
+        except KeyError as missing:
+            raise ProtocolError(f"probe template {template.template_id!r}: no descriptor "
+                                f"for medium {missing.args[0]!r}") from None
+        row[:] = identify(template, descs, gallery, strategy)
+    ranks = rank_scores(scores, [t.subject_id for t in templates], gallery.identity_ids)
+    cmc = compute_cmc(ranks, max_rank=max_rank)
+    det = compute_det(ranks, rank1_conditioned=rank1_conditioned)
     summary = {
         "rank1": float(cmc.recall_at_rank[0]),
         "rank5": float(cmc.recall_at_rank[min(4, max_rank - 1)]),
         "fnir_at_fpir_0.1": fnir_at_fpir(det, 0.1),
         "fnir_at_fpir_0.01": fnir_at_fpir(det, 0.01),
     }
-    return results, cmc, det, summary
+    return scores, cmc, det, summary
 
 
 SUMMARY_KEYS = ("rank1", "rank5", "fnir_at_fpir_0.1", "fnir_at_fpir_0.01")

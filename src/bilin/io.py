@@ -195,7 +195,8 @@ class Outputs:
     """Stages a run's files in ``out_dir``, which gets all of them or none.
 
     :meth:`path` names the ``<name>.tmp`` to write ``name`` to, and
-    :meth:`commit` renames the staged files in the order they were named.
+    :meth:`commit` renames the staged files in the order they were named,
+    after removing the old copy of the last, which marks a finished run.
     Leaving the ``with`` block without a commit deletes every temporary
     and every directory the run made.
 
@@ -224,6 +225,8 @@ class Outputs:
         return self.out_dir / f"{name}.tmp"
 
     def commit(self):
+        if self._names:  # so a crash between renames leaves no marker
+            (self.out_dir / self._names[-1]).unlink(missing_ok=True)
         for name in self._names:
             os.replace(self.out_dir / f"{name}.tmp", self.out_dir / name)
         if self._owns is not None and self.out_dir.exists():

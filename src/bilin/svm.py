@@ -84,12 +84,15 @@ class GalleryModelSet:
         """Rescaled scores ``rescale_a * (w . x + b) + rescale_b``.
 
         One descriptor of shape (dim,) gives one score per identity,
-        shape (k,); a (media, dim) stack gives shape (media, k).
+        shape (k,); a (media, dim) stack gives shape (media, k), one
+        matrix-vector product per row, so each row has the bits of that
+        descriptor scored alone (one matrix product would not).
         """
         x = np.asarray(descriptors)
         if x.shape[-1:] != (self.descriptor_dim,):
             raise ShapeError(f"descriptor shape {x.shape} for model dim {self.descriptor_dim}")
-        return self.rescale_a * (x @ self.w.T + self.b) + self.rescale_b
+        dots = np.matmul(x[..., None, :], self.w.T)[..., 0, :]
+        return self.rescale_a * (dots + self.b) + self.rescale_b
 
 
 def _subgradient_descent(X, Y, weighted, reg_c, epochs):

@@ -14,6 +14,7 @@ from bilin.evaluate import (
     identify,
     pool_features,
     pool_scores,
+    rank_scores,
     write_cmc_csv,
     write_det_csv,
 )
@@ -44,6 +45,25 @@ def probe_template(tid, subject, n_media):
 # Random open-set probe results, drawn through the conftest generator.
 probe_results = st.builds(
     lambda seed, n_ids, n_probes: random_probe_results(
+        np.random.default_rng(seed), n_ids, n_probes),
+    st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 20),
+)
+
+
+def random_score_matrix(rng, n_ids, n_probes):
+    """(scores, subject ids, gallery ids) of a random split: one-decimal
+    scores, so ties are common; probe 0 is an impostor, probe 1 mated."""
+    ids = [f"g{i:02d}" for i in range(n_ids)]
+    impostor = rng.random(n_probes) < 0.4
+    impostor[:2] = True, False
+    subjects = [f"imp{p:02d}" if impostor[p] else ids[int(rng.integers(n_ids))]
+                for p in range(n_probes)]
+    return np.round(rng.normal(size=(n_probes, n_ids)), 1), subjects, ids
+
+
+# Random score matrices with their subject and gallery ids.
+score_matrices = st.builds(
+    lambda seed, n_ids, n_probes: random_score_matrix(
         np.random.default_rng(seed), n_ids, n_probes),
     st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 20),
 )
@@ -101,32 +121,36 @@ class TestIdentify:
         descs = [rng.standard_normal(2)]
         r_score = identify(t, descs, gallery, "score")
         r_feature = identify(t, descs, gallery, "feature")
-        assert r_score == r_feature
+        assert np.array_equal(r_score, r_feature)
 
     def test_two_media_score_pooling_matches_hand_enumeration(self):
         gallery = gallery_from_weights({"a": [1, 0], "b": [0, 1]})
         t = probe_template("p0", "a", 2)
         d1, d2 = np.array([0.2, 0.9]), np.array([0.8, 0.1])
-        result = identify(t, [d1, d2], gallery, "score")
+        row = identify(t, [d1, d2], gallery, "score")
         # identity a: max(0.2, 0.8) = 0.8; identity b: max(0.9, 0.1) = 0.9
-        assert result.scores == {"a": 0.8, "b": 0.9}
-        assert result.ranked == ["b", "a"]
-        assert result.rank_of_true() == 2
+        assert row.tolist() == [0.8, 0.9]
+        ranks = rank_scores(row[None], [t.subject_id], gallery.identity_ids)
+        assert ranks.rank.tolist() == [2] and ranks.true_score.tolist() == [0.8]
 
     def test_feature_pooling_scores_pooled_vector(self):
         gallery = gallery_from_weights({"a": [1, 0], "b": [0, 1]})
         t = probe_template("p0", "b", 2)
         d1, d2 = np.array([0.2, 0.9]), np.array([0.8, 0.1])
-        result = identify(t, [d1, d2], gallery, "feature")
+        row = identify(t, [d1, d2], gallery, "feature")
         # pooled = [0.8, 0.9]
-        assert result.scores == {"a": 0.8, "b": 0.9}
+        assert row.tolist() == [0.8, 0.9]
 
     def test_ties_break_by_ascending_identity(self):
         gallery = gallery_from_weights({"zeta": [1, 0], "alpha": [1, 0],
                                         "mid": [1, 0]})
         t = probe_template("p0", "mid", 1)
-        result = identify(t, [np.array([0.5, 0.0])], gallery, "score")
-        assert result.ranked == ["alpha", "mid", "zeta"]
+        row = identify(t, [np.array([0.5, 0.0])], gallery, "score")
+        assert gallery.identity_ids == ["alpha", "mid", "zeta"]
+        # all three tie; a probe of each id ranks it at its place in id order
+        ranks = rank_scores(np.tile(row, (3, 1)), ["zeta", "alpha", "mid"],
+                            gallery.identity_ids)
+        assert ranks.rank.tolist() == [3, 1, 2]
 
     def test_empty_gallery_rejected(self, rng):
         empty = GalleryModelSet([], np.zeros((0, 2)), np.zeros(0),
@@ -187,7 +211,8 @@ class TestCmc:
 
     def test_rank_past_the_gallery_costs_one_count(self, rng):
         results = random_probe_results(rng, n_identities=10, n_probes=20)
-        worst = max(r.rank_of_true() for r in results if r.mated)
+        worst = max(r.ranked.index(r.subject_id) + 1 for r in results
+                    if r.subject_id in r.scores)
         recall = compute_cmc(results, max_rank=10**6).recall_at_rank
         assert recall.shape == (10**6,)
         np.testing.assert_array_equal(recall[:12], cmc_oracle(results, 12)[0])
@@ -364,6 +389,38 @@ class TestUniformAffineRescale:
         np.testing.assert_array_equal(c1.recall_at_rank, c2.recall_at_rank)
 
 
+class TestRankScores:
+    @curve_props
+    @given(drawn=score_matrices, max_rank=st.integers(1, 12))
+    def test_property_matrix_and_result_list_agree(self, drawn, max_rank):
+        scores, subjects, ids = drawn
+        ranks = rank_scores(scores, subjects, ids)
+        results = [make_result(f"t{p:03d}", subject, dict(zip(ids, row.tolist())))
+                   for p, (subject, row) in enumerate(zip(subjects, scores))]
+        mated = [r for r in results if r.subject_id in r.scores]
+        assert ranks.rank.tolist() == [r.ranked.index(r.subject_id) + 1 for r in mated]
+
+        by_matrix = compute_cmc(ranks, max_rank=max_rank)
+        by_list = compute_cmc(results, max_rank=max_rank)
+        expected, count = cmc_oracle(results, max_rank)
+        assert by_matrix.mated_probe_count == by_list.mated_probe_count == count
+        np.testing.assert_array_equal(by_matrix.recall_at_rank, by_list.recall_at_rank)
+        np.testing.assert_array_equal(by_matrix.recall_at_rank, expected)
+
+        for conditioned in (False, True):
+            by_matrix = compute_det(ranks, rank1_conditioned=conditioned)
+            by_list = compute_det(results, rank1_conditioned=conditioned)
+            for field in ("thresholds", "fpir", "fnir"):
+                np.testing.assert_array_equal(getattr(by_matrix, field),
+                                              getattr(by_list, field))
+            fpir, fnir = det_oracle(results, by_matrix.thresholds)
+            if conditioned:  # an outranked true identity misses at every threshold
+                fnir = [sum(r.scores[r.subject_id] < t or r.ranked[0] != r.subject_id
+                            for r in mated) / len(mated) for t in by_matrix.thresholds]
+            np.testing.assert_array_equal(by_matrix.fpir, fpir)
+            np.testing.assert_array_equal(by_matrix.fnir, fnir)
+
+
 class TestEvaluateSplit:
     def build(self, rng, n_media=1):
         gallery = gallery_from_weights({"a": [1, 0], "b": [0, 1]})
@@ -385,18 +442,27 @@ class TestEvaluateSplit:
                            "fnir_at_fpir_0.01"}
 
     def test_results_ordered_by_template_id(self, rng):
-        split, gallery, descriptors = self.build(rng)
+        split, gallery, descriptors = self.build(rng, n_media=2)
+        in_order, _, _, _ = evaluate_split(split, gallery, descriptors)
         split.probe = split.probe[::-1]
-        results, _, _, _ = evaluate_split(split, gallery, descriptors)
-        ids = [r.template_id for r in results]
-        assert ids == sorted(ids)
+        scores, _, _, _ = evaluate_split(split, gallery, descriptors)
+        assert np.array_equal(scores, in_order)
+        expected = [identify(t, [descriptors[m.media_id] for m in t.media], gallery)
+                    for t in sorted(split.probe, key=lambda t: t.template_id)]
+        assert np.array_equal(scores, expected)
+
+    def test_missing_probe_medium_named(self, rng):
+        split, gallery, descriptors = self.build(rng, n_media=2)
+        del descriptors["p2m1"]
+        with pytest.raises(ProtocolError, match=r"'p2'.*'p2m1'"):
+            evaluate_split(split, gallery, descriptors)
 
     def test_singleton_templates_pool_identically(self, rng):
         split, gallery, descriptors = self.build(rng, n_media=1)
         out_score = evaluate_split(split, gallery, descriptors, "score")
         out_feature = evaluate_split(split, gallery, descriptors, "feature")
         assert out_score[3] == out_feature[3]
-        assert out_score[0] == out_feature[0]
+        assert np.array_equal(out_score[0], out_feature[0])
 
 
 class TestAggregation:

@@ -354,6 +354,28 @@ class TestOutputs:
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(renamed)
         assert (out_dir / "a.json").read_text() == "a.json"
 
+    def test_crash_between_renames_leaves_no_old_marker(self, tmp_path, monkeypatch):
+        names = ("a.csv", "b.csv", "run_config.txt")
+        for name in names:
+            (tmp_path / name).write_text("old")
+        replace, calls = os.replace, []
+
+        def crash_on_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("crash")
+            replace(src, dst)
+
+        monkeypatch.setattr("bilin.io.os.replace", crash_on_second)
+        with pytest.raises(OSError, match="crash"):
+            with Outputs(tmp_path) as out:
+                for name in names:
+                    out.path(name).write_text("new")
+                out.commit()
+        # a.csv is new and b.csv old: no run_config.txt claims the mix finished
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+        assert (tmp_path / "a.csv").read_text() == "new"
+
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failure_removes_temporaries_and_made_directories(self, tmp_path, error):
         with pytest.raises(error):

@@ -159,12 +159,18 @@ class TestScore:
 
     def test_stack_scores_match_single_descriptors(self, rng):
         X, labels = blobs(rng, {"a": [2, 0, 1], "b": [-2, 0, 0], "c": [0, 2, -1]})
-        gallery = train_ovr_svm(X, labels)
-        stacked = gallery.score_vector(X)
-        assert stacked.shape == (len(X), 3)
-        for x, row in zip(X, stacked):
-            np.testing.assert_allclose(gallery.score_vector(x), row,
-                                       rtol=1e-12, atol=1e-12)
+        trained = train_ovr_svm(X, labels)
+        # a float32 gallery as load_gallery reads it, scoring 256-d probes
+        k, dim = 150, 256
+        loaded = GalleryModelSet([f"id{j:03d}" for j in range(k)],
+                                 rng.standard_normal((k, dim)).astype(np.float32),
+                                 *rng.random((3, k)).astype(np.float32) + 0.5)
+        probes = rng.standard_normal((64, dim)).astype(np.float32)
+        for gallery, stack in ((trained, X), (loaded, probes)):
+            stacked = gallery.score_vector(stack)
+            assert stacked.shape == (len(stack), len(gallery.identity_ids))
+            for x, row in zip(stack, stacked):
+                assert np.array_equal(gallery.score_vector(x), row)
 
 
 class TestTrainOvr:
