@@ -15,8 +15,9 @@ at storage time (see :mod:`bilin.io`).  All public functions are pure:
 place, but only on the pooled matrix it allocates itself, and it checks
 finiteness once, on its input maps.
 
-:func:`encode_shared` runs the symmetric case on one map or on an
-``(N, H, W, C)`` stack and keeps the pooled vectors and norms, so its
+In the symmetric case (``b=None``) :func:`encode` also takes an
+``(N, H, W, C)`` stack of maps, and :func:`encode_shared` runs that case
+on one map or a stack and keeps the pooled vectors and norms, so its
 backward pass does not pool again; each map's descriptor and gradient
 has the bits of :func:`encode` and :func:`encode_backward` on that map.
 """
@@ -137,8 +138,9 @@ def _l2_normalize_inplace(x):
     zero rows as they are, and return the norms.
 
     A single vector is checked and scaled as a Python scalar: ``encode``
-    normalizes one descriptor per call, and the array form cost it 4 us
-    more per call (2-core host), 10% of many_ids' encode stage.
+    of one map normalizes one descriptor, and the array form cost it 4 us
+    more per call (2-core host), 10% of many_ids' encode stage when that
+    stage encoded one map per call.
     """
     norm = np.sqrt(_dots(x, x))
     if x.ndim == 1:
@@ -225,8 +227,16 @@ def encode(a, b=None):
     Returns a 1-D float64 vector of length ``Ca * Cb`` at unit norm
     (or all zeros for an all-zero pooled matrix).  Vectorization is
     row-major, so e.g. two 27x27x512 maps give a 262144-d descriptor.
+
+    With ``b=None``, ``a`` may also be an ``(N, H, W, C)`` stack of maps,
+    checked once as a whole; the result is then ``(N, C*C)``, each row
+    bit-identical to ``encode`` of its map alone.
     """
-    x = bilinear_pool(a, b).reshape(-1)
+    if b is None:
+        a = _as_map(a, "a", stack=True)
+        x = _pool_shared(a).reshape(a.shape[:-3] + (-1,))
+    else:
+        x = bilinear_pool(a, b).reshape(-1)
     _l2_normalize_inplace(_signed_sqrt_inplace(x))
     return x
 

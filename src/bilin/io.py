@@ -18,16 +18,21 @@ Gallery model set (.bgm), "BGM1", little-endian:
         w       dim float32
         b, rescale_a, rescale_b   float32 each
 
-Both round-trip bit-exactly.
+Both round-trip bit-exactly.  Reading a .bfm and checking its values are
+apart: read_feature_map checks the header and the payload size,
+map_faults checks the values of a whole (N, H, W, C) stack of maps at
+once (finite, and not negative where rectified), FeatureMap.validate
+checks one map the same way, and load_feature_map reads and validates.
 
 Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
     manifest.csv     header "media_id", then the id of each row, in order
 
 Like every stage output (see Outputs), the store is staged: rows stream
-into ``descriptors.npy.tmp``, the manifest is staged after the last row,
-and both are renamed into place, descriptors first, only once the run
-succeeds, so a manifest always names a whole store (see StoreWriter).
+into ``descriptors.npy.tmp`` a block at a time, the manifest is staged
+after the last row, and both are renamed into place, descriptors first,
+only once the run succeeds, so a manifest always names a whole store
+(see StoreWriter).
 """
 
 import os
@@ -72,10 +77,22 @@ class FeatureMap:
     def validate(self):
         if self.values.ndim != 3:
             raise FormatError(f"expected 3-D values, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericError("feature map contains non-finite values")
-        if self.rectified and np.any(self.values < 0):
-            raise NumericError("rectified feature map has negative entries")
+        (fault,) = map_faults(self.values[None], [self.rectified])
+        if fault:
+            raise NumericError(fault)
+
+
+def map_faults(maps, rectified):
+    """What :meth:`FeatureMap.validate` finds wrong with each map of an
+    ``(N, H, W, C)`` stack, whose rectification flags are ``rectified``:
+    a message, or None for a sound map.  Each test is one reduction over
+    the whole stack."""
+    finite = np.isfinite(maps).all(axis=(1, 2, 3))
+    negative = np.asarray(rectified, dtype=bool) & (maps < 0).any(axis=(1, 2, 3))
+    return [None if ok and not neg
+            else "feature map contains non-finite values" if not ok
+            else "rectified feature map has negative entries"
+            for ok, neg in zip(finite.tolist(), negative.tolist())]
 
 
 def save_feature_map(path, values, rectified=False):
@@ -95,7 +112,9 @@ def save_feature_map(path, values, rectified=False):
         f.write(arr.tobytes(order="C"))
 
 
-def load_feature_map(path):
+def read_feature_map(path):
+    """The map stored at ``path``, with its header and payload size
+    checked but not its values (see :func:`map_faults`)."""
     with open(path, "rb") as f:
         header = f.read(20)
         if len(header) < 20:
@@ -123,7 +142,12 @@ def load_feature_map(path):
                 f"{path}: header declares {n} floats, payload holds "
                 f"{'more' if got == 4 * n else got // 4}"
             )
-    fmap = FeatureMap(values, bool(flags & FLAG_RECTIFIED))
+    return FeatureMap(values, bool(flags & FLAG_RECTIFIED))
+
+
+def load_feature_map(path):
+    """The map stored at ``path``, read and validated."""
+    fmap = read_feature_map(path)
     fmap.validate()
     return fmap
 
@@ -248,16 +272,17 @@ class Outputs:
 class StoreWriter:
     """Streams the rows of one encode run into a store staged in ``out``.
 
-    Each row is cast into one reused float32 buffer and appended as soon
-    as it is written, after the header at the first row.  :meth:`finish`
-    checks the row count and stages the manifest for ``out.commit()``.
+    Rows come in blocks, one per :meth:`write`; each block is cast into
+    one reused float32 buffer, grown to the largest block, and appended
+    at once, after the header at the first block.  :meth:`finish` checks
+    the row count and stages the manifest for ``out.commit()``.
     """
 
     def __init__(self, out, media_ids):
         self.out = out
         self.media_ids = list(media_ids)
         self._file = None
-        self._row = None
+        self._buffer = None
         self._rows = 0
 
     def __enter__(self):
@@ -267,21 +292,29 @@ class StoreWriter:
         if self._file is not None:
             self._file.close()
 
-    def write(self, descriptor):
-        """Append one row; a descriptor of another shape than the first
-        row's is a ShapeError and is not written."""
+    def write(self, rows):
+        """Append a ``(k, dim)`` block of rows; a 1-D row is a block of
+        one.  A block of another dim than the first row's is a ShapeError
+        and is not written."""
+        block = np.asarray(rows)
+        if block.ndim == 1:
+            block = block[None]
+        if block.ndim != 2:
+            raise ShapeError(f"a store takes a (k, dim) block of rows, got shape {block.shape}")
+        k, dim = block.shape
         if self._file is None:
-            dim = np.size(descriptor)
             self._file = open(self.out.path(STORE_FILE), "wb")
             np.lib.format.write_array_header_1_0(self._file, {
                 "descr": "<f4", "fortran_order": False, "shape": (len(self.media_ids), dim)})
-            self._row = np.empty(dim, dtype="<f4")
-        if np.shape(descriptor) != self._row.shape:
+            self._buffer = np.empty((k, dim), dtype="<f4")
+        if dim != self._buffer.shape[1]:
             raise ShapeError(f"one store holds one descriptor dim: row {self._rows} "
-                             f"has shape {np.shape(descriptor)}, row 0 {self._row.shape}")
-        np.copyto(self._row, descriptor, casting="same_kind")
-        self._file.write(self._row)
-        self._rows += 1
+                             f"has dim {dim}, row 0 dim {self._buffer.shape[1]}")
+        if k > len(self._buffer):
+            self._buffer = np.empty((k, dim), dtype="<f4")
+        np.copyto(self._buffer[:k], block, casting="same_kind")
+        self._file.write(self._buffer[:k])
+        self._rows += k
 
     def finish(self):
         """Stage the manifest once every row has been written."""

@@ -14,6 +14,7 @@ location-averaged first-order features carry almost no identity signal.
 """
 
 import csv
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,69 +91,74 @@ def read_metadata(path, check_files=False):
     or kind, duplicate media ids, a template spanning two subjects or
     two roles, an empty file, or one that is not UTF-8.  With
     ``check_files`` every referenced feature file must exist.
+
+    Rows are read as ``csv.DictReader`` would read them: columns in any
+    order, blank lines skipped, a missing cell read as None and extra
+    cells ignored.
     """
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or set(reader.fieldnames) != set(CSV_COLUMNS):
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None or set(header) != set(CSV_COLUMNS):
                 raise MetadataError(
                     f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
                 )
-            rows = list(reader)
+            rows = [row for row in reader if row]
     except UnicodeDecodeError:
         raise MetadataError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise MetadataError(f"{path}: no media rows")
+    column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+    cells = operator.itemgetter(*(column[name] for name in CSV_COLUMNS))
+    width = len(header)
 
     splits = {}
     seen_media = set()
     template_role = {}
     templates = {}
     for lineno, row in enumerate(rows, start=2):
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
+        split_cell, role, template_id, subject_id, media_id, kind, rel_path = cells(row)
         try:
-            split_index = int(row["split_index"])
+            split_index = int(split_cell)
         except (TypeError, ValueError):
-            raise MetadataError(
-                f"{path}:{lineno}: bad split_index {row['split_index']!r}"
-            ) from None
-        role = row["role"]
+            raise MetadataError(f"{path}:{lineno}: bad split_index {split_cell!r}") from None
         if role not in ROLES:
             raise MetadataError(f"{path}:{lineno}: unknown role {role!r}")
-        kind = row["kind"]
         if kind not in KINDS:
             raise MetadataError(f"{path}:{lineno}: unknown kind {kind!r}")
-        media_id = row["media_id"]
         if not media_id or media_id in seen_media:
             raise MetadataError(f"{path}:{lineno}: duplicate media_id {media_id!r}")
-        if not MEDIA_ID_PATTERN.fullmatch(media_id) or set(media_id) == {"."}:
+        if not MEDIA_ID_PATTERN.fullmatch(media_id) or not media_id.strip("."):
             raise MetadataError(
                 f"{path}:{lineno}: media_id {media_id!r} is not filename-safe"
             )
         seen_media.add(media_id)
 
-        split = splits.setdefault(split_index, Split(split_index=split_index))
-        key = (split_index, row["template_id"])
+        key = (split_index, template_id)
         template = templates.get(key)
         if template is None:
-            template = Template(row["template_id"], row["subject_id"])
-            templates[key] = template
+            split = splits.get(split_index)
+            if split is None:
+                split = splits[split_index] = Split(split_index=split_index)
+            template = templates[key] = Template(template_id, subject_id)
             template_role[key] = role
             split.templates(role).append(template)
         else:
-            if template.subject_id != row["subject_id"]:
+            if template.subject_id != subject_id:
                 raise MetadataError(
-                    f"{path}:{lineno}: template {row['template_id']!r} spans "
-                    f"subjects {template.subject_id!r} and {row['subject_id']!r}"
+                    f"{path}:{lineno}: template {template_id!r} spans "
+                    f"subjects {template.subject_id!r} and {subject_id!r}"
                 )
             if template_role[key] != role:
                 raise MetadataError(
-                    f"{path}:{lineno}: template {row['template_id']!r} spans "
+                    f"{path}:{lineno}: template {template_id!r} spans "
                     f"roles {template_role[key]!r} and {role!r}"
                 )
-        template.media.append(
-            MediaItem(media_id, kind, row["path"], row["template_id"])
-        )
+        template.media.append(MediaItem(media_id, kind, rel_path, template_id))
 
     if check_files:
         missing = [

@@ -3,10 +3,14 @@
 The oracles here are deliberately written as plain loops so they share
 no code path with the library: pooling as an explicit per-location
 outer-product sum, convolution as a six-deep loop, and the rank metrics
-as direct counting over probe results.  The fine-tuning oracle runs one
+as direct counting over probe results, the metadata reader as one
+``csv.DictReader`` dict per row.  The fine-tuning oracle runs one
 sample at a time through the public per-map functions, with the
 encoder's normalisation and its backward written out.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,11 @@ from bilin.encoder import (
     signed_sqrt,
     signed_sqrt_backward,
 )
+from bilin.errors import MetadataError
 from bilin.extractor import ConvParams, conv_forward, conv_param_grads
 from bilin.finetune import MIN_IMPROVEMENT
+from bilin.protocol import (CSV_COLUMNS, KINDS, MEDIA_ID_PATTERN, ROLES, MediaItem, Split,
+                            Template)
 
 
 def pool_oracle(a, b):
@@ -131,6 +138,74 @@ def hinge_objective(w, b, X, y, reg_c, weights=None):
     if weights is not None:
         hinge = hinge * weights
     return 0.5 * (float(w @ w) + float(b) ** 2) + reg_c * float(hinge.sum())
+
+
+def read_metadata_oracle(path):
+    """``read_metadata`` as a ``csv.DictReader`` reads the file, one dict
+    per row, without the file checks."""
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None or set(reader.fieldnames) != set(CSV_COLUMNS):
+                raise MetadataError(
+                    f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
+                )
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise MetadataError(f"{path}: not UTF-8 text") from None
+    if not rows:
+        raise MetadataError(f"{path}: no media rows")
+
+    splits = {}
+    seen_media = set()
+    template_role = {}
+    templates = {}
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            split_index = int(row["split_index"])
+        except (TypeError, ValueError):
+            raise MetadataError(
+                f"{path}:{lineno}: bad split_index {row['split_index']!r}"
+            ) from None
+        role = row["role"]
+        if role not in ROLES:
+            raise MetadataError(f"{path}:{lineno}: unknown role {role!r}")
+        kind = row["kind"]
+        if kind not in KINDS:
+            raise MetadataError(f"{path}:{lineno}: unknown kind {kind!r}")
+        media_id = row["media_id"]
+        if not media_id or media_id in seen_media:
+            raise MetadataError(f"{path}:{lineno}: duplicate media_id {media_id!r}")
+        if not MEDIA_ID_PATTERN.fullmatch(media_id) or set(media_id) == {"."}:
+            raise MetadataError(
+                f"{path}:{lineno}: media_id {media_id!r} is not filename-safe"
+            )
+        seen_media.add(media_id)
+
+        split = splits.setdefault(split_index, Split(split_index=split_index))
+        key = (split_index, row["template_id"])
+        template = templates.get(key)
+        if template is None:
+            template = Template(row["template_id"], row["subject_id"])
+            templates[key] = template
+            template_role[key] = role
+            split.templates(role).append(template)
+        else:
+            if template.subject_id != row["subject_id"]:
+                raise MetadataError(
+                    f"{path}:{lineno}: template {row['template_id']!r} spans "
+                    f"subjects {template.subject_id!r} and {row['subject_id']!r}"
+                )
+            if template_role[key] != role:
+                raise MetadataError(
+                    f"{path}:{lineno}: template {row['template_id']!r} spans "
+                    f"roles {template_role[key]!r} and {role!r}"
+                )
+        template.media.append(
+            MediaItem(media_id, kind, row["path"], row["template_id"])
+        )
+    return [splits[i] for i in sorted(splits)]
 
 
 def _log_softmax(logits):

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilin.cli import build_parser, main
+from bilin.cli import ENCODE_CHUNK_BYTES, build_parser, main
 from bilin.encoder import encode
-from bilin.io import load_gallery, load_store, save_feature_map
+from bilin.errors import FormatError, NumericError
+from bilin.io import (StoreWriter, load_feature_map, load_gallery, load_store,
+                      save_feature_map)
 from bilin.protocol import read_metadata
 
 SYNTH_FLAGS = [
@@ -229,19 +231,117 @@ class TestEncode:
         assert main(["encode", "--input", str(data), "--out", str(tmp_path / "d")]) == 2
         victim.write_bytes(good_map)
 
-        calls = []
+        staged = []
 
-        def interrupted(values):
-            calls.append(1)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return encode(values)
+        def interrupted(store, rows):
+            write(store, rows)
+            staged.extend(tmp_path.rglob("*.tmp"))
+            raise KeyboardInterrupt  # after a chunk's rows are staged
 
-        monkeypatch.setattr("bilin.cli.encode", interrupted)
+        write = StoreWriter.write
+        monkeypatch.setattr(StoreWriter, "write", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["encode", "--input", str(data), "--out", str(tmp_path / "new" / "d")])
+        assert staged
         assert not (tmp_path / "new").exists()
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @staticmethod
+    def media_of(data):
+        return [m for s in read_metadata(data / "metadata.csv") for m in s.all_media()]
+
+    @staticmethod
+    def record_encode(monkeypatch, encoding=True):
+        """Chunk shapes passed to encode, which encodes them or not."""
+        chunks = []
+
+        def recorded(maps):
+            chunks.append(maps.shape)
+            return encode(maps) if encoding else None
+
+        monkeypatch.setattr("bilin.cli.encode", recorded)
+        return chunks
+
+    def test_chunks_follow_shape_runs_and_budget(self, tmp_path, monkeypatch):
+        data = synth(tmp_path)
+        media = self.media_of(data)
+        # one C, so one descriptor dim; runs of each H x W, some past a chunk's room
+        shapes = [(6, 6, 4), (5, 7, 4), (3, 3, 4)]
+        pattern = [0, 0, 1, 2, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 0, 1, 2]
+        rng = np.random.default_rng(5)
+        for m, k in zip(media, pattern, strict=True):
+            save_feature_map(data / m.path, rng.random(shapes[k]), rectified=True)
+        budget = 8 * 6 * 6 * 4 * 3
+        monkeypatch.setattr("bilin.cli.ENCODE_CHUNK_BYTES", budget)
+        expected = []  # [shape, maps] of each chunk
+        for k in pattern:
+            h, w, c = shapes[k]
+            room = max(1, budget // (8 * max(h * w * c, c * c)))
+            if expected and expected[-1][0] == shapes[k] and expected[-1][1] < room:
+                expected[-1][1] += 1
+            else:
+                expected.append([shapes[k], 1])
+        chunks = self.record_encode(monkeypatch)
+        desc = tmp_path / "desc"
+        assert main(["encode", "--input", str(data), "--out", str(desc)]) == 0
+        assert chunks == [(n, *shape) for shape, n in expected]
+        assert len(chunks) == 13 and max(n for n, *_ in chunks) == 5
+        rows = np.float32([encode(load_feature_map(data / m.path).values) for m in media])
+        stored = (desc / "descriptors.npy").read_bytes()
+        assert stored[-rows.nbytes:] == rows.astype("<f4").tobytes()
+        assert len(stored) == 128 + rows.nbytes  # the version 1.0 header
+        assert (desc / "manifest.csv").read_text().split() == [
+            "media_id", *(m.media_id for m in media)]
+
+    @staticmethod
+    def spoil(data, media, faults):
+        """Write a truncated, a non-finite or a negative rectified map for
+        the medium at each position of ``faults``."""
+        for position, fault in faults.items():
+            path = data / media[position].path
+            values = np.ones((6, 6, 4), dtype="<f4")
+            values[1, 2, 3] = {"truncated": 1.0, "nan": np.nan, "negative": -1.0}[fault]
+            payload = values.tobytes()[:-4 if fault == "truncated" else None]
+            path.write_bytes(b"BFM1" + struct.pack("<IIIB3x", 6, 6, 4, 1) + payload)
+
+    def expected_failures(self, data, media, positions):
+        lines = []
+        for position in sorted(positions):
+            with pytest.raises((FormatError, NumericError)) as info:
+                load_feature_map(data / media[position].path)
+            lines.append(f"  {media[position].media_id}: {info.value}")
+        return lines
+
+    def test_one_chunk_lists_every_fault_in_metadata_order(self, tmp_path, capsys,
+                                                           monkeypatch):
+        data = synth(tmp_path)
+        media = self.media_of(data)
+        assert len(media) * 8 * 6 * 6 * 4 <= ENCODE_CHUNK_BYTES  # one chunk holds them all
+        faults = {9: "negative", 2: "nan", 5: "truncated"}
+        self.spoil(data, media, faults)
+        expected = self.expected_failures(data, media, faults)
+        assert ["payload holds 143" in expected[1], "non-finite" in expected[0],
+                "negative entries" in expected[2]] == [True] * 3
+        chunks = self.record_encode(monkeypatch)
+        assert main(["encode", "--input", str(data), "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"encode: 3 of {len(media)} media failed, nothing written:", *expected]
+        assert chunks == []  # a failed chunk is not encoded
+        assert not (tmp_path / "d").exists()
+
+    def test_chunks_after_a_failure_are_checked_not_encoded(self, tmp_path, capsys,
+                                                           monkeypatch):
+        data = synth(tmp_path)
+        media = self.media_of(data)
+        monkeypatch.setattr("bilin.cli.ENCODE_CHUNK_BYTES", 8 * 6 * 6 * 4 * 3)
+        faults = {10: "nan", 22: "negative"}
+        self.spoil(data, media, faults)
+        chunks = self.record_encode(monkeypatch, encoding=False)
+        assert main(["encode", "--input", str(data), "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.splitlines()[1:] == self.expected_failures(
+            data, media, faults)
+        assert chunks == [(3, 6, 6, 4)] * 3  # the chunks before the one at position 10
+        assert not (tmp_path / "d").exists()
 
     def test_peak_memory_does_not_grow_with_media_count(self, tmp_path):
         dim = 128 * 128

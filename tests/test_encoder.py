@@ -309,6 +309,25 @@ class TestEncode:
     def test_all_zero_map_encodes_to_zero(self):
         assert not encode(np.zeros((2, 2, 3))).any()
 
+    def test_stack_encodes_each_map_bit_for_bit(self, rng):
+        for shape in [(1, 27, 27, 64), (56, 6, 6, 16), (7, 3, 5, 4)]:
+            maps = rng.random(shape, dtype=np.float32)
+            maps[0, ..., 1] = 0.0
+            maps[-1] = 0.0  # a zero descriptor and a zero norm
+            rows = encode(maps)
+            assert rows.shape == (shape[0], shape[3] ** 2) and rows.dtype == np.float64
+            for a, row in zip(maps, rows):
+                assert row.tobytes() == encode(a).tobytes()
+
+    def test_stack_is_for_the_symmetric_case_only(self, rng):
+        maps = rng.random((2, 2, 2, 3))
+        with pytest.raises(ShapeError):
+            encode(maps, maps)
+        with pytest.raises(ShapeError):
+            encode(maps[None])
+        with pytest.raises(NumericError):
+            encode(np.where(maps > 0.5, np.nan, maps))
+
     def test_backward_matches_finite_differences(self, rng):
         a0 = rng.uniform(0.2, 1.0, (4, 4, 3))
         r = rng.standard_normal(9)

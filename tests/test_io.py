@@ -26,6 +26,8 @@ from bilin.io import (
     load_feature_map,
     load_gallery,
     load_store,
+    map_faults,
+    read_feature_map,
     save_feature_map,
     save_gallery,
 )
@@ -255,6 +257,27 @@ def write_store(out_dir, media_ids, descriptors):
         out.commit()
 
 
+def test_stack_check_finds_what_each_map_check_finds(tmp_path, rng):
+    maps = rng.random((5, 2, 3, 4)).astype(np.float32)
+    maps[1, 0, 2, 3] = np.nan
+    maps[2, 1, 1, 0] = -1.0
+    maps[3, 0, 0, 0] = -np.inf
+    rectified = [True, True, True, True, False]
+    maps[4, 1, 2, 3] = -2.0  # allowed: not rectified
+    expected = []
+    for i, (values, flag) in enumerate(zip(maps, rectified)):
+        path = tmp_path / f"m{i}.bfm"
+        write_bfm(path, 2, 3, 4, int(flag), values)
+        assert np.array_equal(read_feature_map(path).values, values, equal_nan=True)
+        try:
+            load_feature_map(path)
+            expected.append(None)
+        except NumericError as exc:
+            expected.append(str(exc))
+    assert map_faults(maps, rectified) == expected
+    assert expected[0] is None and expected[4] is None and None not in expected[1:4]
+
+
 def toy_store(path, rng, n=4, dim=5):
     ids = [f"m{i}" for i in range(n)]
     descriptors = list(rng.standard_normal((n, dim)))
@@ -315,6 +338,20 @@ class TestDescriptorFiles:
         with pytest.raises(ShapeError, match="2 rows got 1"):
             write_store(tmp_path, ["m0", "m1"], rows[:1])
         assert list(tmp_path.iterdir()) == []
+
+    def test_blocks_write_the_bytes_of_single_rows(self, tmp_path, rng):
+        ids = [f"m{i}" for i in range(7)]
+        rows = rng.standard_normal((7, 5))
+        write_store(tmp_path / "rows", ids, list(rows))
+        write_store(tmp_path / "blocks", ids, [rows[0], rows[1:4], rows[4:4], rows[4:]])
+        for name in ("descriptors.npy", "manifest.csv"):
+            assert (tmp_path / "blocks" / name).read_bytes() == \
+                (tmp_path / "rows" / name).read_bytes()
+        with pytest.raises(ShapeError):
+            write_store(tmp_path / "cube", ids, [rows[None]])
+        with pytest.raises(ShapeError, match="has dim 4, row 0 dim 5"):
+            write_store(tmp_path / "mixed", ids, [rows[:2], rows[2:, :4]])
+        assert not (tmp_path / "cube").exists() and not (tmp_path / "mixed").exists()
 
     def test_missing_store_or_medium_is_config_error(self, tmp_path, rng):
         with pytest.raises(ConfigError):

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_metadata_oracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bilin.encoder import encode
 from bilin.errors import ConfigError, MetadataError
@@ -127,6 +130,90 @@ class TestReadMetadata:
             rows.append(f"{s},probe,s{s}t2,subjB,s{s}m2,still,b.bfm")
         splits = read_metadata(write_csv(tmp_path, "\n".join(rows) + "\n"))
         assert [s.split_index for s in splits] == list(range(1, 11))
+
+    def test_reordered_columns_and_blank_lines_read_the_same(self, tmp_path):
+        lines = [line.split(",") for line in MINIMAL.splitlines()]
+        order = [6, 2, 0, 5, 1, 4, 3]
+        text = "\n\n".join(",".join(line[i] for i in order) for line in lines) + "\n"
+        assert read_metadata(write_csv(tmp_path, text)) == read_metadata(
+            write_csv(tmp_path, MINIMAL, "plain.csv"))
+
+
+def _mutated_csv(edits, raw):
+    """MINIMAL and a second split, as bytes, after ``edits`` to its lines
+    (each a list of cells; line 0 is the header) and ``raw`` byte inserts."""
+    lines = [line.split(",") for line in MINIMAL.splitlines()]
+    lines += [["2", *line[1:4], f"{line[4]}b", *line[5:]] for line in lines[1:]]
+    for op, at, *args in edits:
+        at %= len(lines)
+        if op == "blank":
+            lines.insert(at, [])
+        elif op == "cut":
+            lines[at] = lines[at][:-args[0]]
+        elif op == "extend":
+            lines[at] = lines[at] + lines[at][-1:] * args[0]  # in the header, a repeated name
+        elif op == "repeat":  # a header column named twice, the second past every row
+            lines[0].append(lines[0][args[0]])
+        elif op == "permute":
+            order, header_only = args
+            for line in lines[:1] if header_only else lines:
+                line[:] = [line[i] for i in order if i < len(line)]
+        else:  # "set" a cell, which may also name a header column twice
+            column, value = args[0]
+            if column < len(lines[at]):
+                lines[at][column] = value
+    data = "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
+    for at, inserted in raw:
+        at = at * 37 % (len(data) + 1)  # small draws land past the header too
+        data = data[:at] + inserted + data[at:]
+    return data
+
+
+# (column, value): bad or repeated values for a row, a repeated name for the header
+CELLS = [(0, "x"), (0, ""), (0, "2"), (1, "enrolled"), (1, "probe"), (1, "gallery"),
+         (2, "t-g1"), (2, "t-p1"), (3, "subjA"), (3, "subjZ"), (4, "m01"), (4, "m02b"),
+         (4, "m/01"), (4, ".."), (4, ""), (5, "video"), (5, "frame"), (6, "role"),
+         (6, "path")]
+LINE = st.integers(1, 16)  # modulo the 9 lines: the header now and then
+EDITS = st.lists(st.one_of(
+    st.tuples(st.just("blank"), LINE),
+    st.tuples(st.just("cut"), LINE, st.integers(1, 7)),
+    st.tuples(st.just("extend"), LINE, st.integers(1, 3)),
+    st.tuples(st.just("repeat"), LINE, st.integers(0, 6)),
+    st.tuples(st.just("permute"), LINE, st.permutations(range(7)), st.booleans()),
+    st.tuples(st.just("set"), LINE, st.sampled_from(CELLS)),
+), max_size=4)
+RAW_INSERTS = st.lists(st.tuples(st.integers(0, 400), st.sampled_from(
+    [b"\n", b"\r\n", b'"', b",", b"\xc3\xa9", b"\xff", b"\xc3("])), max_size=1)
+
+
+class TestReadMetadataMatchesDictReader:
+    @pytest.mark.parametrize("header", [HEADER, "a,b,c\n"])
+    def test_header_is_checked_before_the_rows_are_decoded(self, tmp_path, header):
+        rows = "".join(f"1,probe,t{i},subjA,m{i},still,maps/m{i}.bfm\n" for i in range(400))
+        path = tmp_path / "metadata.csv"
+        path.write_bytes((header + rows).encode("utf-8") + b"\xff\n")  # past the first 8 KiB
+        messages = []
+        for reader in (read_metadata, read_metadata_oracle):
+            with pytest.raises(MetadataError) as info:
+                reader(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert ("header" if header != HEADER else "not UTF-8") in messages[0]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=EDITS, raw=RAW_INSERTS)
+    def test_property_same_splits_or_same_message(self, tmp_path, edits, raw):
+        path = tmp_path / "metadata.csv"
+        path.write_bytes(_mutated_csv(edits, raw))
+        outcomes = []
+        for reader in (read_metadata, read_metadata_oracle):
+            try:
+                outcomes.append(reader(path))
+            except MetadataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def tree_hash(root):
