@@ -3,8 +3,8 @@
 The pieces, bottom up:
 
 * :mod:`bilin.encoder` - outer-product pooling of feature maps, signed
-  square-root and L2 normalization, exact backward passes, and a
-  finite-difference gradient checker.
+  square-root and L2 normalization, the exact backward pass of the
+  symmetric case, and a finite-difference gradient checker.
 * :mod:`bilin.extractor` - a minimal trainable convolution + ReLU
   extractor, plus patch ingestion.
 * :mod:`bilin.io` - bit-exact binary formats for feature maps (.bfm)

@@ -17,12 +17,12 @@ finiteness once, on its input maps.
 
 In the symmetric case (``b=None``) :func:`encode` also takes an
 ``(N, H, W, C)`` stack of maps, and :func:`encode_shared` runs that case
-on one map or a stack and keeps the pooled vectors and norms, so its
-backward pass does not pool again; each map's descriptor and gradient
-has the bits of :func:`encode` and :func:`encode_backward` on that map.
+on one map or a stack and keeps the pooled vectors and norms for its
+backward pass, the one backward pass of the chain: the paper fine-tunes
+a symmetric B-CNN, where one network feeds both streams.  Each map's
+descriptor has the bits of :func:`encode` on that map.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,31 +85,6 @@ def bilinear_pool(a, b=None):
     return a.reshape(-1, a.shape[2]).T @ b.reshape(-1, b.shape[2])
 
 
-def bilinear_pool_backward(a, b, g_out):
-    """Gradients of ``bilinear_pool(a, b)`` w.r.t. both maps.
-
-    Per location ``l``: ``g_a[l] = g_out @ b[l]`` and
-    ``g_b[l] = g_out.T @ a[l]``.  When the two maps come from a shared
-    extractor the caller sums the two gradients, which equals applying
-    ``(g_out + g_out.T)`` to the shared map.
-    """
-    a = _as_map(a, "a")
-    b = _as_map(b, "b")
-    if a.shape[:2] != b.shape[:2]:
-        raise ShapeError(
-            f"spatial dimensions differ: {a.shape[:2]} vs {b.shape[:2]}"
-        )
-    g = np.asarray(g_out, dtype=np.float64)
-    if g.shape != (a.shape[2], b.shape[2]):
-        raise ShapeError(
-            f"upstream gradient shape {g.shape} does not match "
-            f"({a.shape[2]}, {b.shape[2]})"
-        )
-    g_a = (b.reshape(-1, b.shape[2]) @ g.T).reshape(a.shape)
-    g_b = (a.reshape(-1, a.shape[2]) @ g).reshape(b.shape)
-    return g_a, g_b
-
-
 def _signed_sqrt_inplace(x):
     # Same bits as sign(x) * sqrt(|x|): -0.0 is not < 0, so it maps to +0.0.
     neg = x < 0
@@ -128,27 +103,14 @@ def _dots(x, y):
     """Dot product of each row (last axis) of ``x`` with the same row of
     ``y``: one BLAS ddot per row, the call ``np.linalg.norm`` makes for a
     vector, so no row's result depends on the rows stacked beside it."""
-    if x.ndim == 1:
-        return np.dot(x, y)
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _l2_normalize_inplace(x):
     """Scale each row (last axis) of ``x`` to unit norm in place, leaving
-    zero rows as they are, and return the norms.
-
-    A single vector is checked and scaled as a Python scalar: ``encode``
-    of one map normalizes one descriptor, and the array form cost it 4 us
-    more per call (2-core host), 10% of many_ids' encode stage when that
-    stage encoded one map per call.
-    """
+    zero rows as they are, and return the norms: a 1-D ``x`` is one row,
+    with a scalar norm."""
     norm = np.sqrt(_dots(x, x))
-    if x.ndim == 1:
-        if not math.isfinite(norm):
-            raise NumericError("l2_normalize: non-finite norm")
-        if norm != 0.0:
-            x /= norm
-        return norm
     if not np.isfinite(norm).all():
         raise NumericError("l2_normalize: non-finite norm")
     x /= _nonzero(norm)
@@ -197,23 +159,6 @@ def l2_normalize(v):
     return v
 
 
-def l2_normalize_backward(v, g):
-    """Backward pass of :func:`l2_normalize`.
-
-    ``g' = (g - z * (z . g)) / |v|`` with ``z = v / |v|``; the radial
-    component of the upstream gradient is projected out, so ``g``
-    parallel to ``v`` maps to 0.  Zero input propagates zero gradient.
-    Like the forward pass, it treats an array of any shape as one vector.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if v.shape != g.shape:
-        raise ShapeError(f"value/gradient shapes differ: {v.shape} vs {g.shape}")
-    flat = v.reshape(-1)
-    norm = np.sqrt(np.dot(flat, flat))
-    return _l2_backward(flat / _nonzero(norm), norm, g.reshape(-1)).reshape(v.shape)
-
-
 def _l2_backward(z, norm, g):
     """L2 backward per row from the normalised rows ``z`` and their norms."""
     g_v = (g - z * _dots(z, g)[..., None]) / _nonzero(norm)
@@ -241,22 +186,6 @@ def encode(a, b=None):
     return x
 
 
-def encode_backward(a, b, g_desc):
-    """Gradients of :func:`encode` w.r.t. both input maps.
-
-    Recomputes the forward intermediates (cheap at the map sizes this
-    library targets) and chains the three backward passes.
-    """
-    a = _as_map(a, "a")
-    b = a if b is None else _as_map(b, "b")
-    pooled = bilinear_pool(a, b)
-    x = pooled.reshape(-1)
-    y = signed_sqrt(x)
-    g_y = l2_normalize_backward(y, np.asarray(g_desc, dtype=np.float64))
-    g_x = signed_sqrt_backward(x, g_y)
-    return bilinear_pool_backward(a, b, g_x.reshape(pooled.shape))
-
-
 def encode_backward_shared(a, g_desc):
     """Gradient of the symmetric case ``encode(a, a)`` w.r.t. ``a``."""
     return encode_shared(a).backward(g_desc)
@@ -280,11 +209,9 @@ class SharedEncoding:
     desc: np.ndarray
 
     def backward(self, g_desc):
-        """Gradient w.r.t. the maps, reusing the forward intermediates.
-
-        Bit-identical, map by map, to :func:`encode_backward` with
-        ``b = a`` and its two gradients summed.
-        """
+        """Gradient w.r.t. the maps, reusing the forward intermediates:
+        the L2, signed-sqrt and pooling backward passes, the last with the
+        two streams' gradients summed on the shared map."""
         g = np.asarray(g_desc, dtype=np.float64)
         if g.shape != self.desc.shape:
             raise ShapeError(f"upstream gradient shape {g.shape} does not match "

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode, encode_shared
+from .encoder import encode_shared
 from .errors import DataError, DivergenceError, ShapeError
 from .extractor import conv_forward, conv_output_shape, conv_param_grads
 
@@ -173,11 +173,6 @@ def _labels_for(patches, labels, n_classes, name):
     if labels.min() < 0 or labels.max() >= n_classes:
         raise DataError(f"{name} labels must lie in [0, {n_classes})")
     return labels
-
-
-def predict_logits(patch, extractor, head):
-    desc = encode(conv_forward(patch, extractor))
-    return head.weights @ desc + head.bias
 
 
 def mean_loss_and_error(patches, labels, extractor, head):

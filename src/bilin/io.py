@@ -272,10 +272,10 @@ class Outputs:
 class StoreWriter:
     """Streams the rows of one encode run into a store staged in ``out``.
 
-    Rows come in blocks, one per :meth:`write`; each block is cast into
-    one reused float32 buffer, grown to the largest block, and appended
-    at once, after the header at the first block.  :meth:`finish` checks
-    the row count and stages the manifest for ``out.commit()``.
+    Rows come in ``(k, dim)`` blocks, one per :meth:`write`; each is
+    cast into one reused float32 buffer, grown to the largest block, and
+    appended at once, after the header at the first block.  :meth:`finish`
+    checks the row count and stages the manifest for ``out.commit()``.
     """
 
     def __init__(self, out, media_ids):
@@ -293,12 +293,10 @@ class StoreWriter:
             self._file.close()
 
     def write(self, rows):
-        """Append a ``(k, dim)`` block of rows; a 1-D row is a block of
-        one.  A block of another dim than the first row's is a ShapeError
-        and is not written."""
+        """Append a ``(k, dim)`` block of rows.  Any other shape, or a
+        block of another dim than the first row's, is a ShapeError and is
+        not written."""
         block = np.asarray(rows)
-        if block.ndim == 1:
-            block = block[None]
         if block.ndim != 2:
             raise ShapeError(f"a store takes a (k, dim) block of rows, got shape {block.shape}")
         k, dim = block.shape

@@ -87,14 +87,14 @@ def write_metadata(splits, path):
 def read_metadata(path, check_files=False):
     """Load every split from a metadata CSV, sorted by split index.
 
-    Raises MetadataError on schema violations: bad header, unknown role
-    or kind, duplicate media ids, a template spanning two subjects or
-    two roles, an empty file, or one that is not UTF-8.  With
-    ``check_files`` every referenced feature file must exist.
+    Raises MetadataError on schema violations: bad header, a row with
+    fewer cells than the header, unknown role or kind, duplicate media
+    ids, a template spanning two subjects or two roles, an empty file, or
+    one that is not UTF-8.  With ``check_files`` every referenced feature
+    file must exist.
 
     Rows are read as ``csv.DictReader`` would read them: columns in any
-    order, blank lines skipped, a missing cell read as None and extra
-    cells ignored.
+    order, blank lines skipped and extra cells ignored.
     """
     path = Path(path)
     try:
@@ -120,11 +120,11 @@ def read_metadata(path, check_files=False):
     templates = {}
     for lineno, row in enumerate(rows, start=2):
         if len(row) < width:
-            row = row + [None] * (width - len(row))
+            raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
         split_cell, role, template_id, subject_id, media_id, kind, rel_path = cells(row)
         try:
             split_index = int(split_cell)
-        except (TypeError, ValueError):
+        except ValueError:
             raise MetadataError(f"{path}:{lineno}: bad split_index {split_cell!r}") from None
         if role not in ROLES:
             raise MetadataError(f"{path}:{lineno}: unknown role {role!r}")

@@ -7,6 +7,12 @@ as direct counting over probe results, the metadata reader as one
 ``csv.DictReader`` dict per row.  The fine-tuning oracle runs one
 sample at a time through the public per-map functions, with the
 encoder's normalisation and its backward written out.
+
+The two-map backward chain (``bilinear_pool_backward``,
+``l2_normalize_backward``, ``encode_backward``) is the gradient of
+``encode(a, b)`` for two independent streams, one vector at a time.  It
+stays in matrix form: the library's symmetric backward pass must equal
+its two gradients summed, bit for bit.
 """
 
 import csv
@@ -15,13 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilin.encoder import (
-    bilinear_pool,
-    bilinear_pool_backward,
-    signed_sqrt,
-    signed_sqrt_backward,
-)
-from bilin.errors import MetadataError
+from bilin.encoder import bilinear_pool, signed_sqrt, signed_sqrt_backward
+from bilin.errors import MetadataError, ShapeError
 from bilin.extractor import ConvParams, conv_forward, conv_param_grads
 from bilin.finetune import MIN_IMPROVEMENT
 from bilin.protocol import (CSV_COLUMNS, KINDS, MEDIA_ID_PATTERN, ROLES, MediaItem, Split,
@@ -40,6 +41,42 @@ def pool_oracle(a, b):
             for j in range(cb):
                 out[i, j] += va[i] * vb[j]
     return out
+
+
+def bilinear_pool_backward(a, b, g_out):
+    """Gradients of ``bilinear_pool(a, b)`` w.r.t. both maps: per location
+    ``l``, ``g_a[l] = g_out @ b[l]`` and ``g_b[l] = g_out.T @ a[l]``."""
+    g = np.asarray(g_out, dtype=np.float64)
+    if g.shape != (a.shape[2], b.shape[2]):
+        raise ShapeError(f"upstream gradient shape {g.shape} does not match "
+                         f"({a.shape[2]}, {b.shape[2]})")
+    g_a = (b.reshape(-1, b.shape[2]) @ g.T).reshape(a.shape)
+    g_b = (a.reshape(-1, a.shape[2]) @ g).reshape(b.shape)
+    return g_a, g_b
+
+
+def l2_normalize_backward(v, g):
+    """Backward pass of ``l2_normalize``, ``v`` flattened to one vector:
+    ``(g - z * (z . g)) / |v|`` with ``z = v / |v|``, and 0 at ``v = 0``."""
+    v = np.asarray(v, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if v.shape != g.shape:
+        raise ShapeError(f"value/gradient shapes differ: {v.shape} vs {g.shape}")
+    flat, g_flat = v.reshape(-1), g.reshape(-1)
+    norm = np.sqrt(np.dot(flat, flat))
+    if norm == 0.0:
+        return np.zeros_like(v)
+    z = flat / norm
+    return ((g_flat - z * np.dot(z, g_flat)) / norm).reshape(v.shape)
+
+
+def encode_backward(a, b, g_desc):
+    """Gradients of ``encode(a, b)`` w.r.t. both maps, the forward pass
+    recomputed and the three backward passes chained."""
+    pooled = bilinear_pool(a, b)
+    x = pooled.reshape(-1)
+    g_y = l2_normalize_backward(signed_sqrt(x), g_desc)
+    return bilinear_pool_backward(a, b, signed_sqrt_backward(x, g_y).reshape(pooled.shape))
 
 
 def conv_oracle(x, params):
@@ -142,11 +179,14 @@ def hinge_objective(w, b, X, y, reg_c, weights=None):
 
 def read_metadata_oracle(path):
     """``read_metadata`` as a ``csv.DictReader`` reads the file, one dict
-    per row, without the file checks."""
+    per row, without the file checks.  A short row leaves its missing
+    cells at ``restval``; the header's last column is the last of its
+    name, so one of them is always a cell the reader needs."""
     path = Path(path)
+    missing = object()
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
+            reader = csv.DictReader(f, restval=missing)
             if reader.fieldnames is None or set(reader.fieldnames) != set(CSV_COLUMNS):
                 raise MetadataError(
                     f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
@@ -162,9 +202,11 @@ def read_metadata_oracle(path):
     template_role = {}
     templates = {}
     for lineno, row in enumerate(rows, start=2):
+        if any(cell is missing for cell in row.values()):
+            raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
         try:
             split_index = int(row["split_index"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise MetadataError(
                 f"{path}:{lineno}: bad split_index {row['split_index']!r}"
             ) from None

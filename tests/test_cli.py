@@ -374,6 +374,21 @@ class TestMetadata:
         assert main([stage, *paths[stage], "--out", str(tmp_path / "out")]) == 3
         assert "metadata.csv: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", [["encode", "--input"], ["encode", "--check-files", "--input"],
+                                       ["finetune", "--data"]])
+    def test_row_without_path_cell_exits_3(self, tmp_path, capsys, stage):
+        data = synth(tmp_path, extra=("--templates", "6"))  # with train templates
+        metadata = data / "metadata.csv"
+        lines = metadata.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if ",train," in line)
+        lines[i] = lines[i].rsplit(",", 1)[0]
+        metadata.write_text("".join(line + "\n" for line in lines))
+        assert main([*stage, str(data), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{metadata}:{i + 1}: row has fewer cells than the header" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainGallery:
     def test_writes_models_per_split(self, tmp_path):

@@ -4,21 +4,18 @@ import pytest
 from bilin.encoder import (
     SQRT_EPS,
     bilinear_pool,
-    bilinear_pool_backward,
     encode,
-    encode_backward,
     encode_backward_shared,
     encode_shared,
     finite_diff_check,
     first_order_descriptor,
     l2_normalize,
-    l2_normalize_backward,
     signed_sqrt,
     signed_sqrt_backward,
 )
 from bilin.errors import NumericError, ShapeError
 
-from conftest import pool_oracle
+from conftest import bilinear_pool_backward, encode_backward, l2_normalize_backward, pool_oracle
 
 
 def loc_maps(a_locs, b_locs):
@@ -242,13 +239,11 @@ class TestL2Normalize:
         assert not l2_normalize_backward(np.array(0.0), np.array(1.0))
 
     def test_needs_no_numpy_2_function(self, rng, monkeypatch):
-        # numpy 1.x has no vecdot; the 1-D and stacked paths must not use it
+        # numpy 1.x has no vecdot; one vector's, one map's and a stack's paths must not use it
         monkeypatch.delattr(np, "vecdot", raising=False)
-        v = rng.standard_normal(5)
-        l2_normalize(v)
-        l2_normalize_backward(v, v)
+        l2_normalize(rng.standard_normal(5))
         encode_shared(rng.random((2, 3, 3, 2))).backward(rng.standard_normal((2, 4)))
-        encode_backward(rng.random((3, 3, 2)), None, rng.standard_normal(4))
+        encode_shared(rng.random((3, 3, 2))).backward(rng.standard_normal(4))
 
     def test_backward_matches_finite_differences(self, rng):
         v0 = rng.standard_normal(5) + 2.0
@@ -327,6 +322,15 @@ class TestEncode:
             encode(maps[None])
         with pytest.raises(NumericError):
             encode(np.where(maps > 0.5, np.nan, maps))
+
+    def test_overflowing_pool_is_a_non_finite_norm(self, rng):
+        big = np.full((2, 2, 3), 1e160)  # finite, but its pooled entries are not
+        stack = np.stack([rng.random((2, 2, 3)), big])
+        with np.errstate(over="ignore"):
+            for fn, maps in ((encode, big), (encode, stack), (encode_shared, big),
+                             (encode_shared, stack)):
+                with pytest.raises(NumericError, match="^l2_normalize: non-finite norm$"):
+                    fn(maps)
 
     def test_backward_matches_finite_differences(self, rng):
         a0 = rng.uniform(0.2, 1.0, (4, 4, 3))

@@ -249,10 +249,12 @@ class TestGalleryFormat:
             load_gallery(path)
 
 
-def write_store(out_dir, media_ids, descriptors):
+def write_store(out_dir, media_ids, blocks):
+    """A store of ``blocks``, each written as one block; a 1-D descriptor
+    is written as a (1, dim) block."""
     with Outputs(out_dir) as out, StoreWriter(out, media_ids) as store:
-        for descriptor in descriptors:
-            store.write(descriptor)
+        for block in blocks:
+            store.write(block[None] if np.ndim(block) == 1 else block)
         store.finish()
         out.commit()
 
@@ -352,6 +354,15 @@ class TestDescriptorFiles:
         with pytest.raises(ShapeError, match="has dim 4, row 0 dim 5"):
             write_store(tmp_path / "mixed", ids, [rows[:2], rows[2:, :4]])
         assert not (tmp_path / "cube").exists() and not (tmp_path / "mixed").exists()
+
+    def test_one_d_row_is_a_shape_error(self, tmp_path, rng):
+        with Outputs(tmp_path / "out") as out, StoreWriter(out, ["m0"]) as store:
+            with pytest.raises(ShapeError, match=r"\(k, dim\) block of rows, got shape \(5,\)"):
+                store.write(rng.standard_normal(5))
+            store.write(rng.standard_normal((1, 5)))
+            store.finish()
+            out.commit()
+        assert load_store(tmp_path / "out", ["m0"]).shape == (1, 5)
 
     def test_missing_store_or_medium_is_config_error(self, tmp_path, rng):
         with pytest.raises(ConfigError):

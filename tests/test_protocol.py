@@ -111,6 +111,17 @@ class TestReadMetadata:
         with pytest.raises(MetadataError, match="split_index"):
             read_metadata(write_csv(tmp_path, text))
 
+    @pytest.mark.parametrize("order", [range(7), [6, 2, 0, 5, 1, 4, 3]])
+    @pytest.mark.parametrize("cut", [1, 6])
+    def test_short_row_rejected_naming_its_line(self, tmp_path, order, cut):
+        lines = [[line.split(",")[i] for i in order] for line in MINIMAL.splitlines()]
+        lines[2] = lines[2][:-cut]
+        path = write_csv(tmp_path, "".join(",".join(line) + "\n" for line in lines))
+        for reader in (read_metadata, read_metadata_oracle):
+            with pytest.raises(MetadataError) as info:
+                reader(path)
+            assert str(info.value) == f"{path}:3: row has fewer cells than the header"
+
     def test_check_files_flags_missing(self, tmp_path):
         path = write_csv(tmp_path, MINIMAL)
         with pytest.raises(MetadataError, match="missing"):
