@@ -41,8 +41,8 @@ from .errors import (
 )
 from .extractor import ingest_patch, init_conv_params
 from .finetune import TrainConfig, finetune_softmax, init_softmax_head
-from .io import (MANIFEST_FILE, Outputs, StoreWriter, load_feature_map, load_gallery,
-                 load_store, map_faults, read_feature_map, save_gallery)
+from .io import (MANIFEST_FILE, Outputs, StoreReader, StoreWriter, load_feature_map,
+                 load_gallery, load_store, map_faults, read_feature_map, save_gallery)
 from .svm import train_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
@@ -239,9 +239,10 @@ def cmd_encode(args):
     return 0
 
 
-def _load_descriptors_for(media, desc_dir, what):
+def _open_descriptors(opener, media, desc_dir, what):
+    """``opener(desc_dir, media ids)``: load_store or StoreReader."""
     try:
-        return load_store(desc_dir, [m.media_id for m in media])
+        return opener(desc_dir, [m.media_id for m in media])
     except ConfigError as exc:
         raise ConfigError(f"{what} descriptors: {exc}; run `bilin encode` first") from None
 
@@ -318,7 +319,7 @@ def cmd_train_gallery(args):
             templates = sorted(split.gallery, key=lambda t: t.template_id)
             media = [m for t in templates for m in t.media]
             labels = [t.subject_id for t in templates for _ in t.media]
-            X = _load_descriptors_for(media, args.descriptors, "gallery")
+            X = _open_descriptors(load_store, media, args.descriptors, "gallery")
             gallery = train_ovr_svm(X, labels, reg_c=args.reg_c, epochs=args.epochs,
                                     balanced=args.balanced)
             name = f"gallery_s{index:02d}.bgm"
@@ -344,16 +345,18 @@ def cmd_eval(args):
                 raise ConfigError(f"no gallery models for split {index} at {model_path}; "
                                   f"run `bilin train-gallery` first")
             gallery = load_gallery(model_path)
-            probe_media = [m for t in split.probe for m in t.media]
-            probes = _load_descriptors_for(probe_media, args.descriptors, "probe")
-            if probes.shape[1] != gallery.descriptor_dim:
-                raise ConfigError(f"split {index}: probe descriptor dim {probes.shape[1]} "
-                                  f"!= gallery dim {gallery.descriptor_dim} of {model_path}")
-            table = dict(zip((m.media_id for m in probe_media), probes))
-            _, cmc, det, summary = evaluate.evaluate_split(
-                split, gallery, table, strategy=args.pooling, max_rank=args.max_rank,
-                rank1_conditioned=args.fnir_rank1,
-            )
+            templates = evaluate.probe_templates(split)
+            probe_media = [m for t in templates for m in t.media]
+            # the probe rows stream from the store a block of templates at a time
+            with _open_descriptors(StoreReader, probe_media, args.descriptors,
+                                   "probe") as probes:
+                if probes.dim != gallery.descriptor_dim:
+                    raise ConfigError(f"split {index}: probe descriptor dim {probes.dim} != "
+                                      f"gallery dim {gallery.descriptor_dim} of {model_path}")
+                scores = evaluate.score_templates(templates, gallery, probes.read,
+                                                  args.pooling)
+            cmc, det, summary = evaluate.split_curves(
+                scores, templates, gallery, args.max_rank, args.fnir_rank1)
             evaluate.write_cmc_csv(cmc, out.path(f"cmc_s{index:02d}.csv"))
             evaluate.write_det_csv(det, out.path(f"det_s{index:02d}.csv"))
             summaries[index] = summary

@@ -8,8 +8,11 @@ collapse it to one score per gallery identity:
   then a single scoring pass (the pooled vector is deliberately not
   re-normalized, so scores stay on the scale the models were trained on).
 
-A split's pooled scores form one (templates, identities) matrix, and
-three arrays of it give the open-set curves: CMC (recall of the true
+A split's pooled scores form one (templates, identities) matrix, which
+score_templates fills a block of whole templates at a time: the CLI
+streams each block's probe rows from the descriptor store into one
+reused buffer, and evaluate_split stacks them from a media_id dict.
+Three arrays of the matrix give the open-set curves: CMC (recall of the true
 identity within the top r ranks, mated probes only), and DET (false
 positive identification rate of impostors versus false negative
 identification rate of mated probes as the acceptance threshold sweeps).
@@ -27,6 +30,13 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError, ShapeError
 
+# Eval's block budget: a block holds the float32 probe rows of whole
+# templates within this many bytes, and a larger template goes alone.
+# At 256 KiB many_ids scores 64 templates of 1 KiB rows a block and each
+# paper_dim template (two 1 MiB rows) goes alone; 1 and 4 MiB timed alike
+# and raised many_ids' eval peak RSS (44.3 and 47.2 against 43.5 MB).
+EVAL_BLOCK_BYTES = 1 << 18
+
 
 def pool_features(descriptors):
     """Elementwise maximum of equal-length descriptors.
@@ -36,6 +46,8 @@ def pool_features(descriptors):
     """
     if not len(descriptors):
         raise ProtocolError("cannot pool an empty descriptor list")
+    if isinstance(descriptors, np.ndarray):  # a stack: its rows share a shape
+        return np.maximum.reduce(descriptors)
     arrs = [np.asarray(d) for d in descriptors]
     shapes = sorted({a.shape for a in arrs})
     if len(shapes) > 1:
@@ -95,8 +107,9 @@ def rank_scores(scores, subject_ids, identity_ids):
 
 def identify(template, descriptors, gallery, strategy="score"):
     """Pooled scores of one probe template, shape (k,); entry j scores
-    ``gallery.identity_ids[j]``.  ``descriptors`` holds one descriptor per
-    medium of ``template``, in order; ``strategy`` is "score" or "feature".
+    ``gallery.identity_ids[j]``.  ``descriptors``, a list or a (media, dim)
+    stack, holds one descriptor per medium of ``template``, in order;
+    ``strategy`` is "score" or "feature".
     """
     if not gallery.identity_ids:
         raise ProtocolError("gallery model set is empty")
@@ -104,8 +117,8 @@ def identify(template, descriptors, gallery, strategy="score"):
         raise ProtocolError(f"template {template.template_id!r} has {len(template.media)} "
                             f"media but {len(descriptors)} descriptors")
     if strategy == "score":
-        # one row per medium: stacking the descriptors would copy them
-        return pool_scores([gallery.score_vector(d) for d in descriptors])
+        # a stack's rows score with the bits of each row scored alone
+        return pool_scores(gallery.score_vector(descriptors))
     if strategy == "feature":
         return gallery.score_vector(pool_features(descriptors))
     raise ValueError(f"unknown pooling strategy {strategy!r}")
@@ -194,26 +207,44 @@ def fnir_at_fpir(curve, target_fpir):
     return float(fnir[idx - 1] + frac * (fnir[idx] - fnir[idx - 1]))
 
 
-def evaluate_split(split, gallery, descriptors, strategy="score",
-                   max_rank=100, rank1_conditioned=False):
-    """Identify every probe template of a split and compute both curves.
+def probe_templates(split):
+    """A split's probe templates in template-id order, the row order of
+    its score matrix, so the matrix is deterministic."""
+    return sorted(split.probe, key=lambda t: t.template_id)
 
-    ``descriptors`` maps media_id to a descriptor vector.  Row i of the
-    (templates, k) score matrix holds the pooled scores of the i-th
-    probe template in template-id order, so the matrix is deterministic.
 
-    Returns (scores, cmc, det, summary) where summary holds rank1,
-    rank5 and FNIR at the two standard FPIR operating points.
+def score_templates(templates, gallery, read, strategy="score"):
+    """The (templates, k) matrix of pooled scores, row i for ``templates[i]``.
+
+    ``read(lo, hi)`` gives the descriptors of media ``lo:hi``, counted
+    over the media of ``templates`` in order, as one (hi - lo, dim)
+    array.  It is called once per block: a run of whole templates whose
+    media fit EVAL_BLOCK_BYTES as float32 rows of the gallery's dim, or
+    one template alone when it does not fit.  Each template is identified
+    on its rows of the block, a view, so no template is stacked again.
     """
-    templates = sorted(split.probe, key=lambda t: t.template_id)
     scores = np.empty((len(templates), len(gallery.identity_ids)))
-    for row, template in zip(scores, templates):
-        try:
-            descs = [descriptors[m.media_id] for m in template.media]
-        except KeyError as missing:
-            raise ProtocolError(f"probe template {template.template_id!r}: no descriptor "
-                                f"for medium {missing.args[0]!r}") from None
-        row[:] = identify(template, descs, gallery, strategy)
+    per_block = max(1, EVAL_BLOCK_BYTES // (4 * gallery.descriptor_dim))
+    sizes = [len(t.media) for t in templates]
+    first = lo = 0
+    while first < len(templates):
+        last, hi = first + 1, lo + sizes[first]
+        while last < len(templates) and hi + sizes[last] - lo <= per_block:
+            hi += sizes[last]
+            last += 1
+        block, offset = read(lo, hi), 0
+        for i in range(first, last):
+            rows = block[offset:offset + sizes[i]]
+            scores[i] = identify(templates[i], rows, gallery, strategy)
+            offset += sizes[i]
+        first, lo = last, hi
+    return scores
+
+
+def split_curves(scores, templates, gallery, max_rank=100, rank1_conditioned=False):
+    """(cmc, det, summary) of a split's score matrix, whose row i scores
+    ``templates[i]``; summary holds rank1, rank5 and FNIR at the two
+    standard FPIR operating points."""
     ranks = rank_scores(scores, [t.subject_id for t in templates], gallery.identity_ids)
     cmc = compute_cmc(ranks, max_rank=max_rank)
     det = compute_det(ranks, rank1_conditioned=rank1_conditioned)
@@ -223,7 +254,35 @@ def evaluate_split(split, gallery, descriptors, strategy="score",
         "fnir_at_fpir_0.1": fnir_at_fpir(det, 0.1),
         "fnir_at_fpir_0.01": fnir_at_fpir(det, 0.01),
     }
-    return scores, cmc, det, summary
+    return cmc, det, summary
+
+
+def evaluate_split(split, gallery, descriptors, strategy="score",
+                   max_rank=100, rank1_conditioned=False):
+    """Identify every probe template of a split and compute both curves.
+
+    ``descriptors`` maps media_id to a descriptor vector; each block of
+    :func:`score_templates` stacks its rows from it.  Returns (scores,
+    cmc, det, summary), as :func:`score_templates` and
+    :func:`split_curves` give them.
+    """
+    templates = probe_templates(split)
+    media = [(t, m) for t in templates for m in t.media]
+
+    def read(lo, hi):
+        rows = []
+        for template, medium in media[lo:hi]:
+            if medium.media_id not in descriptors:
+                raise ProtocolError(f"probe template {template.template_id!r}: no "
+                                    f"descriptor for medium {medium.media_id!r}")
+            rows.append(np.asarray(descriptors[medium.media_id]))
+        shapes = sorted({r.shape for r in rows})
+        if len(shapes) > 1:
+            raise ShapeError(f"descriptor shapes differ: {shapes}")
+        return np.stack(rows) if rows else np.empty((0, gallery.descriptor_dim))
+
+    scores = score_templates(templates, gallery, read, strategy)
+    return (scores, *split_curves(scores, templates, gallery, max_rank, rank1_conditioned))
 
 
 SUMMARY_KEYS = ("rank1", "rank5", "fnir_at_fpir_0.1", "fnir_at_fpir_0.01")

@@ -18,11 +18,14 @@ Gallery model set (.bgm), "BGM1", little-endian:
         w       dim float32
         b, rescale_a, rescale_b   float32 each
 
-Both round-trip bit-exactly.  Reading a .bfm and checking its values are
-apart: read_feature_map checks the header and the payload size,
-map_faults checks the values of a whole (N, H, W, C) stack of maps at
-once (finite, and not negative where rectified), FeatureMap.validate
-checks one map the same way, and load_feature_map reads and validates.
+Both round-trip bit-exactly.  load_gallery reads a .bgm record by
+record, each model's w and tail straight into the arrays that hold
+them, once the file size covers what the header declares.  Reading a
+.bfm and checking its values are apart: read_feature_map checks the
+header and the payload size, map_faults checks the values of a whole
+(N, H, W, C) stack of maps at once (finite, and not negative where
+rectified), FeatureMap.validate checks one map the same way, and
+load_feature_map reads and validates.
 
 Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
@@ -32,7 +35,9 @@ Like every stage output (see Outputs), the store is staged: rows stream
 into ``descriptors.npy.tmp`` a block at a time, the manifest is staged
 after the last row, and both are renamed into place, descriptors first,
 only once the run succeeds, so a manifest always names a whole store
-(see StoreWriter).
+(see StoreWriter).  StoreReader checks a store once and then reads the
+requested rows a block at a time into one reused buffer, each checked
+finite; load_store reads them all at once through it.
 """
 
 import os
@@ -65,6 +70,9 @@ MANIFEST_FILE = "manifest.csv"
 # Caps the element count so a hostile header cannot trigger a giant
 # allocation; 2**28 float32 values is 1 GiB.
 MAX_MAP_ELEMENTS = 2**28
+# Store rows read and checked finite at once; the check's boolean
+# temporary is a quarter of this.
+READ_RUN_BYTES = 1 << 18
 
 
 @dataclass
@@ -170,40 +178,41 @@ def save_gallery(path, gallery):
 
 
 def load_gallery(path):
-    """Read a .bgm file; its values must be finite with rescale_a > 0."""
+    """Read a .bgm file, record by record; its values must be finite with
+    rescale_a > 0."""
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 12:
-        raise CorruptFileError(f"{path}: truncated header")
-    if data[:4] != BGM_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    count, dim = struct.unpack_from("<II", data, 4)
-    if dim < 1:
-        raise BoundsError(f"{path}: non-positive descriptor dim")
-    record = 4 * dim + 12  # w, b, rescale_a, rescale_b
-    if count * (2 + record) > len(data) - 12:
-        raise CorruptFileError(f"{path}: truncated model record")
-    ids = []
-    w = np.empty((count, dim), dtype=np.float32)
-    tail = np.empty((count, 3), dtype=np.float32)
-    offset = 12
-    for j in range(count):
-        if offset + 2 > len(data):
+        header = f.read(12)
+        if len(header) < 12:
+            raise CorruptFileError(f"{path}: truncated header")
+        if header[:4] != BGM_MAGIC:
+            raise FormatError(f"{path}: bad magic {header[:4]!r}")
+        count, dim = struct.unpack_from("<II", header, 4)
+        if dim < 1:
+            raise BoundsError(f"{path}: non-positive descriptor dim")
+        record = 4 * dim + 12  # w, b, rescale_a, rescale_b
+        size = os.fstat(f.fileno()).st_size
+        if count * (2 + record) > size - 12:
             raise CorruptFileError(f"{path}: truncated model record")
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        if offset + id_len + record > len(data):
-            raise CorruptFileError(f"{path}: truncated model record")
-        try:
-            ids.append(data[offset : offset + id_len].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise CorruptFileError(f"{path}: identity id of model {j} is not UTF-8") from None
-        offset += id_len
-        w[j] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        tail[j] = np.frombuffer(data, dtype="<f4", count=3, offset=offset + 4 * dim)
-        offset += record
-    if offset != len(data):
-        raise CorruptFileError(f"{path}: {len(data) - offset} trailing bytes")
+        ids = []
+        w = np.empty((count, dim), dtype="<f4")
+        tail = np.empty((count, 3), dtype="<f4")
+        offset = 12
+        for j in range(count):
+            raw = f.read(2)
+            if len(raw) < 2:
+                raise CorruptFileError(f"{path}: truncated model record")
+            (id_len,) = struct.unpack("<H", raw)
+            offset += 2 + id_len + record
+            if offset > size:
+                raise CorruptFileError(f"{path}: truncated model record")
+            try:
+                ids.append(f.read(id_len).decode("utf-8"))
+            except UnicodeDecodeError:
+                raise CorruptFileError(f"{path}: identity id of model {j} is not UTF-8") from None
+            if f.readinto(w[j]) + f.readinto(tail[j]) != record:  # the file shrank
+                raise CorruptFileError(f"{path}: truncated model record")
+    if offset != size:
+        raise CorruptFileError(f"{path}: {size - offset} trailing bytes")
     if not (np.isfinite(w).all() and np.isfinite(tail).all()):
         raise ModelValueError(f"{path}: non-finite model values")
     b, rescale_a, rescale_b = tail.T.astype(np.float64)
@@ -341,41 +350,82 @@ def _read_store_header(f, path):
     return shape
 
 
-def load_store(store_dir, media_ids):
+class StoreReader:
     """Rows of the store in ``store_dir`` for ``media_ids``, in that order,
-    as one (len(media_ids), dim) float32 array.
+    read a block at a time.
 
-    The header is checked once: a 2-D C-order <f4 array with one row per
-    manifest id and a payload that fills the file exactly.  Only the
-    requested rows are read, each checked finite as it is read.  A
-    missing manifest, or a medium it does not name, is a ConfigError; a
-    malformed store is a FormatError.
+    Opening checks the store once: the manifest names every requested
+    id, and ``descriptors.npy`` is a 2-D C-order <f4 array with one row
+    per manifest id and a payload that fills the file exactly.  A missing
+    manifest, or a medium it does not name, is a ConfigError; a malformed
+    store is a FormatError.  :meth:`read` then reads only the requested
+    rows, each checked finite as it is read.
     """
-    store_dir = Path(store_dir)
-    manifest = store_dir / MANIFEST_FILE
-    if not manifest.is_file():
-        raise ConfigError(f"no descriptor store at {store_dir}")
-    # ids are ASCII; a corrupt byte just makes an id that names no medium
-    lines = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
-    if lines[:1] != ["media_id"]:
-        raise FormatError(f"{manifest}: header must be exactly media_id")
-    rows = {media_id: row for row, media_id in enumerate(lines[1:])}
-    try:
-        index = [rows[m] for m in media_ids]
-    except KeyError as exc:
-        raise ConfigError(f"{manifest} names no medium {exc.args[0]!r}") from None
-    path = store_dir / STORE_FILE
-    with open(path, "rb") as f:
-        n, dim = _read_store_header(f, path)
-        if n != len(rows):  # also catches a duplicate id
-            raise CorruptFileError(f"{path}: {n} rows for {len(rows)} distinct ids in {manifest}")
-        start, row_bytes = f.tell(), 4 * dim
-        if os.fstat(f.fileno()).st_size != start + n * row_bytes:
-            raise CorruptFileError(f"{path}: payload does not hold {n}x{dim} float32 values")
-        out = np.empty((len(index), dim), dtype="<f4")
-        for i, row in enumerate(index):
-            f.seek(start + row * row_bytes)
-            if f.readinto(out[i]) != row_bytes or not np.isfinite(out[i]).all():
-                raise CorruptFileError(f"{path}: row {row} ({media_ids[i]}) "
-                                       f"is short or non-finite")
-    return out
+
+    def __init__(self, store_dir, media_ids):
+        store_dir = Path(store_dir)
+        manifest = store_dir / MANIFEST_FILE
+        if not manifest.is_file():
+            raise ConfigError(f"no descriptor store at {store_dir}")
+        # ids are ASCII; a corrupt byte just makes an id that names no medium
+        lines = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
+        if lines[:1] != ["media_id"]:
+            raise FormatError(f"{manifest}: header must be exactly media_id")
+        rows = {media_id: row for row, media_id in enumerate(lines[1:])}
+        self.media_ids = list(media_ids)
+        try:
+            self._index = np.array([rows[m] for m in self.media_ids], dtype=np.int64)
+        except KeyError as exc:
+            raise ConfigError(f"{manifest} names no medium {exc.args[0]!r}") from None
+        self.path = store_dir / STORE_FILE
+        self._file = open(self.path, "rb")
+        try:
+            n, self.dim = _read_store_header(self._file, self.path)
+            if n != len(rows):  # also catches a duplicate id
+                raise CorruptFileError(f"{self.path}: {n} rows for {len(rows)} distinct "
+                                       f"ids in {manifest}")
+            self._start = self._file.tell()
+            if os.fstat(self._file.fileno()).st_size != self._start + n * 4 * self.dim:
+                raise CorruptFileError(f"{self.path}: payload does not hold "
+                                       f"{n}x{self.dim} float32 values")
+        except BaseException:
+            self._file.close()
+            raise
+        self._buffer = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def read(self, lo, hi):
+        """Rows ``lo:hi`` of the requested ids, as a (hi - lo, dim) view of
+        one reused float32 buffer, grown to the largest block read; the
+        next read overwrites it."""
+        k, row_bytes = hi - lo, 4 * self.dim
+        if self._buffer is None or k > len(self._buffer):
+            self._buffer = None  # so the old buffer is freed first
+            self._buffer = np.empty((k, self.dim), dtype="<f4")
+        out, index = self._buffer[:k], self._index[lo:hi]
+        # one read per run of consecutive store rows, checked before the
+        # next; a run holds at most READ_RUN_BYTES of rows (or one row)
+        run = max(1, READ_RUN_BYTES // row_bytes)
+        starts = np.flatnonzero((np.diff(index, prepend=-2) != 1)
+                                | (np.arange(k) % run == 0)).tolist()
+        for i, j in zip(starts, [*starts[1:], k]):
+            self._file.seek(self._start + int(index[i]) * row_bytes)
+            whole = self._file.readinto(out[i:j]) // row_bytes
+            ok = np.isfinite(out[i:i + whole]).all(axis=1)
+            bad = i + int(np.argmin(np.append(ok, False)))  # first non-finite or unread
+            if bad < j:
+                raise CorruptFileError(f"{self.path}: row {index[bad]} "
+                                       f"({self.media_ids[lo + bad]}) is short or non-finite")
+        return out
+
+
+def load_store(store_dir, media_ids):
+    """Every row of :class:`StoreReader` ``(store_dir, media_ids)``, as one
+    (len(media_ids), dim) float32 array."""
+    with StoreReader(store_dir, media_ids) as store:
+        return store.read(0, len(store.media_ids))

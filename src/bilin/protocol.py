@@ -16,6 +16,7 @@ location-averaged first-order features carry almost no identity signal.
 import csv
 import operator
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,7 +95,8 @@ def read_metadata(path, check_files=False):
     file must exist.
 
     Rows are read as ``csv.DictReader`` would read them: columns in any
-    order, blank lines skipped and extra cells ignored.
+    order, blank lines skipped and extra cells ignored.  An error names
+    the file line its row ends on.
     """
     path = Path(path)
     try:
@@ -105,7 +107,11 @@ def read_metadata(path, check_files=False):
                 raise MetadataError(
                     f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
                 )
-            rows = [row for row in reader if row]
+            rows, lines = [], array("l")  # the file line each row ends on
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except UnicodeDecodeError:
         raise MetadataError(f"{path}: not UTF-8 text") from None
     if not rows:
@@ -118,7 +124,7 @@ def read_metadata(path, check_files=False):
     seen_media = set()
     template_role = {}
     templates = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         if len(row) < width:
             raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
         split_cell, role, template_id, subject_id, media_id, kind, rel_path = cells(row)

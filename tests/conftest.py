@@ -131,6 +131,20 @@ def det_oracle(results, thresholds):
     return np.array(fpir), np.array(fnir)
 
 
+def score_matrix_oracle(templates, gallery, descriptors, strategy):
+    """The (templates, k) pooled scores of one medium at a time, looked up
+    by media id: one ``score_vector`` call per descriptor under score
+    pooling, the max of the list under feature pooling."""
+    rows = []
+    for t in templates:
+        descs = [np.asarray(descriptors[m.media_id]) for m in t.media]
+        if strategy == "score":
+            rows.append(np.max([gallery.score_vector(d) for d in descs], axis=0))
+        else:
+            rows.append(gallery.score_vector(np.maximum.reduce(descs)))
+    return np.array(rows)
+
+
 def random_probe_results(rng, n_identities=None, n_probes=None):
     """A random open-set result list with at least one impostor and one
     mated probe."""
@@ -191,7 +205,7 @@ def read_metadata_oracle(path):
                 raise MetadataError(
                     f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
                 )
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
     except UnicodeDecodeError:
         raise MetadataError(f"{path}: not UTF-8 text") from None
     if not rows:
@@ -201,7 +215,7 @@ def read_metadata_oracle(path):
     seen_media = set()
     template_role = {}
     templates = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if any(cell is missing for cell in row.values()):
             raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
         try:

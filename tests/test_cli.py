@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
 import tempfile
@@ -9,13 +10,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import score_matrix_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilin import evaluate
 from bilin.cli import ENCODE_CHUNK_BYTES, build_parser, main
 from bilin.encoder import encode
-from bilin.errors import FormatError, NumericError
-from bilin.io import (StoreWriter, load_feature_map, load_gallery, load_store,
+from bilin.errors import CorruptFileError, FormatError, NumericError
+from bilin.io import (StoreReader, StoreWriter, load_feature_map, load_gallery, load_store,
                       save_feature_map)
 from bilin.protocol import read_metadata
 
@@ -488,6 +491,26 @@ class TestEval:
         feature = run_pipeline(tmp_path, "ft", "feature", extra)
         assert score.read_bytes() == feature.read_bytes()
 
+    def test_peak_memory_does_not_grow_with_probe_count(self, tmp_path):
+        dim = 128 * 128
+        peaks = []
+        for media in (2, 8):  # 24 and 96 media
+            data = synth(tmp_path, f"data{media}", ["--media", str(media),
+                                                   "--map-dims", "2x2x128"])
+            desc, models = tmp_path / f"desc{media}", tmp_path / f"models{media}"
+            assert main(["encode", "--input", str(data), "--out", str(desc)]) == 0
+            assert main(["train-gallery", "--data", str(data), "--descriptors", str(desc),
+                         "--out", str(models)]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["eval", "--data", str(data), "--descriptors", str(desc),
+                             "--models", str(models), "--out", str(tmp_path / f"res{media}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the larger run holds less than one more block: a template's float32 rows
+        assert peaks[1] - peaks[0] < 8 * 4 * dim, peaks
+
     def test_degenerate_training_data_exits_4(self, tmp_path, capsys):
         data = synth(tmp_path)
         desc = tmp_path / "desc"
@@ -606,6 +629,56 @@ def pipeline(tmp_path_factory):
     assert main(["eval", "--data", str(p.data), "--descriptors", str(p.desc),
                  "--models", str(p.models), "--out", str(p.res)]) == 0
     return p
+
+
+class TestEvalBlocks:
+    """Eval reads each split's probe rows from the store a block of whole
+    templates at a time, within evaluate.EVAL_BLOCK_BYTES."""
+
+    @pytest.mark.parametrize("pooling", ["score", "feature"])
+    def test_scores_and_outputs_do_not_depend_on_the_budget(self, pipeline, tmp_path,
+                                                            monkeypatch, pooling):
+        split_curves, read = evaluate.split_curves, StoreReader.read
+        matrices, reads, outputs = [], [], []
+
+        def kept(scores, templates, gallery, *args):
+            matrices.append((scores, templates, gallery))
+            return split_curves(scores, templates, gallery, *args)
+
+        def counted(store, lo, hi):
+            reads[-1] += 1
+            return read(store, lo, hi)
+
+        monkeypatch.setattr(evaluate, "split_curves", kept)
+        monkeypatch.setattr(StoreReader, "read", counted)
+        # one row, three rows (a template each: both hold 2 media), two
+        # templates, and every row of a split
+        for rows in (1, 3, 4, 10**6):
+            monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", rows * 4 * 16)
+            reads.append(0)
+            out = tmp_path / f"rows{rows}"
+            assert main([*stage_argv("eval", pipeline, out), "--pooling", pooling]) == 0
+            outputs.append({name: data for name, data in snapshot(out).items()
+                            if name != "run_config.txt"})
+        assert all(out == outputs[0] for out in outputs)
+        assert reads[0] == reads[1] > reads[2] > reads[3] == 2
+        for scores, templates, gallery in matrices:
+            ids = [m.media_id for t in templates for m in t.media]
+            table = dict(zip(ids, load_store(pipeline.desc, ids)))
+            expected = score_matrix_oracle(templates, gallery, table, pooling)
+            assert np.array_equal(scores, expected)
+
+    def test_dim_mismatch_exits_2_before_a_row_is_read(self, pipeline, tmp_path,
+                                                       monkeypatch, capsys):
+        desc = tmp_path / "desc"
+        shutil.copytree(pipeline.desc, desc)
+        overwrite_store(desc, np.full(9, np.nan))  # reading a row would exit 3
+        reads = []
+        monkeypatch.setattr(StoreReader, "read", lambda store, lo, hi: reads.append(lo))
+        assert main(["eval", "--data", str(pipeline.data), "--descriptors", str(desc),
+                     "--models", str(pipeline.models), "--out", str(tmp_path / "e")]) == 2
+        assert "probe descriptor dim 9 != gallery dim 16" in capsys.readouterr().err
+        assert reads == []
 
 
 def stage_argv(stage, p, out):
@@ -763,6 +836,46 @@ class TestFailedRunKeepsPreviousOutputs:
                     "--models", str(models), "--out", str(out)]
 
         self.check(tmp_path, pipeline.res, argv_for, code)
+
+    @pytest.mark.parametrize("fault", ["non-finite", "short"])
+    def test_eval_with_a_bad_probe_row_in_a_later_block(self, tmp_path, monkeypatch,
+                                                        capsys, fault):
+        dim = 32 * 32  # 4 KiB rows: more than the file's read buffer holds
+        run_pipeline(tmp_path, "big", synth_extra=("--map-dims", "2x2x32"))
+        data, desc = tmp_path / "data_big", tmp_path / "desc_big"
+        # the probe medium of split 1 stored last, outside its first template
+        templates = evaluate.probe_templates(read_metadata(data / "metadata.csv")[0])
+        rows = {m: i for i, m in enumerate((desc / "manifest.csv").read_text().split()[1:])}
+        medium = max((m.media_id for t in templates[1:] for m in t.media), key=rows.get)
+        store = desc / "descriptors.npy"
+        offset = store.stat().st_size - 4 * dim * (len(rows) - rows[medium])
+        if fault == "non-finite":
+            with open(store, "r+b") as f:
+                f.seek(offset)
+                f.write(struct.pack("<f", np.inf))
+        monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", 1)  # a template per block
+        read, outcomes = StoreReader.read, []
+
+        def recorded(reader, lo, hi):
+            if fault == "short" and outcomes == ["ok"]:  # cut the store after a block
+                os.truncate(store, offset + 3)
+            try:
+                block = read(reader, lo, hi)
+            except CorruptFileError:
+                outcomes.append("bad")
+                raise
+            outcomes.append("ok")
+            return block
+
+        monkeypatch.setattr(StoreReader, "read", recorded)
+
+        def argv_for(out):
+            return ["eval", "--data", str(data), "--descriptors", str(desc),
+                    "--models", str(tmp_path / "models_big"), "--out", str(out)]
+
+        self.check(tmp_path, tmp_path / "eval_big", argv_for, 3)
+        assert outcomes[0] == "ok" and "bad" in outcomes
+        assert f"row {rows[medium]} ({medium}) is short or non-finite" in capsys.readouterr().err
 
     def test_train_gallery_with_split_2_descriptors_gone(self, pipeline, tmp_path):
         desc = tmp_path / "desc"

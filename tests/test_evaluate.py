@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilin import evaluate
 from bilin.errors import ProtocolError, ShapeError
 from bilin.evaluate import (
     ProbeResult,
@@ -15,13 +16,14 @@ from bilin.evaluate import (
     pool_features,
     pool_scores,
     rank_scores,
+    score_templates,
     write_cmc_csv,
     write_det_csv,
 )
 from bilin.protocol import MediaItem, Split, Template
 from bilin.svm import GalleryModelSet
 
-from conftest import cmc_oracle, det_oracle, random_probe_results
+from conftest import cmc_oracle, det_oracle, random_probe_results, score_matrix_oracle
 
 
 def make_result(template_id, subject, scores):
@@ -463,6 +465,71 @@ class TestEvaluateSplit:
         out_feature = evaluate_split(split, gallery, descriptors, "feature")
         assert out_score[3] == out_feature[3]
         assert np.array_equal(out_score[0], out_feature[0])
+
+
+class TestBlockScoring:
+    """score_templates reads the media of whole templates a block at a time."""
+
+    SIZES = [2, 1, 3, 4, 1, 1, 2]  # media per template; 14 in all
+    BLOCKS = {1: [(0, 2), (2, 3), (3, 6), (6, 10), (10, 11), (11, 12), (12, 14)],
+              3: [(0, 3), (3, 6), (6, 10), (10, 12), (12, 14)],
+              14: [(0, 14)]}
+
+    def build(self, rng, dim=6):
+        ids = ["a", "b", "c"]
+        gallery = GalleryModelSet(ids, rng.standard_normal((3, dim)).astype(np.float32),
+                                  rng.standard_normal(3), rng.random(3) + 0.5,
+                                  rng.standard_normal(3))
+        templates = [probe_template(f"p{i}", ["a", "b", "zz"][i % 3], n)
+                     for i, n in enumerate(self.SIZES)]
+        descriptors = {m.media_id: rng.standard_normal(dim).astype(np.float32)
+                       for t in templates for m in t.media}
+        return templates, gallery, descriptors
+
+    @pytest.mark.parametrize("strategy", ["score", "feature"])
+    @pytest.mark.parametrize("rows", sorted(BLOCKS))
+    def test_blocks_hold_whole_templates_and_keep_the_bits(self, rng, monkeypatch,
+                                                           strategy, rows):
+        templates, gallery, descriptors = self.build(rng)
+        monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", rows * 4 * gallery.descriptor_dim)
+        stack = np.stack([descriptors[m.media_id] for t in templates for m in t.media])
+        calls = []
+
+        def read(lo, hi):
+            calls.append((lo, hi))
+            return stack[lo:hi]
+
+        scores = score_templates(templates, gallery, read, strategy)
+        # a block fills the budget with whole templates; a larger one goes alone
+        assert calls == self.BLOCKS[rows]
+        expected = score_matrix_oracle(templates, gallery, descriptors, strategy)
+        assert np.array_equal(scores, expected)
+
+    @pytest.mark.parametrize("strategy", ["score", "feature"])
+    @pytest.mark.parametrize("rows", sorted(BLOCKS))
+    def test_evaluate_split_keeps_the_bits(self, rng, monkeypatch, strategy, rows):
+        templates, gallery, descriptors = self.build(rng)
+        monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", rows * 4 * gallery.descriptor_dim)
+        split = Split(split_index=1, probe=templates[::-1])
+        scores = evaluate_split(split, gallery, descriptors, strategy)[0]
+        expected = score_matrix_oracle(templates, gallery, descriptors, strategy)
+        assert np.array_equal(scores, expected)
+
+    @pytest.mark.parametrize("strategy", ["score", "feature"])
+    def test_template_without_media_is_a_protocol_error(self, rng, strategy):
+        templates, gallery, descriptors = self.build(rng)
+        templates[3].media = []
+        with pytest.raises(ProtocolError, match="empty"):
+            evaluate_split(Split(split_index=1, probe=templates), gallery, descriptors,
+                           strategy)
+
+    @pytest.mark.parametrize("strategy", ["score", "feature"])
+    def test_descriptors_of_two_dims_are_a_shape_error(self, rng, strategy):
+        templates, gallery, descriptors = self.build(rng)
+        descriptors["p3m1"] = descriptors["p3m1"][:4]
+        with pytest.raises(ShapeError):
+            evaluate_split(Split(split_index=1, probe=templates), gallery, descriptors,
+                           strategy)
 
 
 class TestAggregation:

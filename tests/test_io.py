@@ -22,6 +22,7 @@ from bilin.io import (
     BGM_MAGIC,
     MAX_MAP_ELEMENTS,
     Outputs,
+    StoreReader,
     StoreWriter,
     load_feature_map,
     load_gallery,
@@ -209,6 +210,32 @@ class TestGalleryFormat:
         with pytest.raises(CorruptFileError):
             load_gallery(path)
 
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path, rng):
+        gallery = toy_gallery(rng, dim=128 * 128, n=8)
+        path = tmp_path / "g.bgm"
+        save_gallery(path, gallery)
+        tracemalloc.start()
+        try:
+            loaded = load_gallery(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.w, gallery.w)
+        assert peak < 1.5 * gallery.w.nbytes
+
+    def test_every_prefix_and_an_appended_byte_are_corruption(self, tmp_path, rng):
+        path = tmp_path / "g.bgm"
+        save_gallery(path, toy_gallery(rng, dim=3))
+        data = path.read_bytes()
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(CorruptFileError):
+                load_gallery(path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(CorruptFileError) as info:
+            load_gallery(path)
+        assert str(info.value) == f"{path}: 1 trailing bytes"
+
     @pytest.mark.parametrize("field, row, value", [
         ("w", 1, np.nan), ("rescale_a", 0, 0.0), ("rescale_a", 2, -1.0),
     ])
@@ -330,6 +357,51 @@ class TestDescriptorFiles:
         assert load_store(tmp_path, [ids[0], ids[2]]).shape == (2, 5)
         with pytest.raises(CorruptFileError):
             load_store(tmp_path, [ids[0], ids[1]])
+
+    @pytest.mark.parametrize("run_rows", [1, 2, 100])
+    def test_reader_fills_blocks_into_one_buffer(self, tmp_path, rng, monkeypatch, run_rows):
+        monkeypatch.setattr("bilin.io.READ_RUN_BYTES", run_rows * 4 * 5)
+        ids, descriptors = toy_store(tmp_path, rng, n=6)
+        # runs of consecutive store rows, a jump back and a repeat
+        order = [ids[4], ids[5], ids[0], ids[2], ids[3], ids[3], ids[1]]
+        whole = load_store(tmp_path, order)
+        assert np.array_equal(whole, np.float32([descriptors[int(m[1:])] for m in order]))
+        with StoreReader(tmp_path, order) as store:
+            assert store.dim == 5
+            first = store.read(0, 4)
+            assert np.array_equal(first, whole[:4])
+            rest = store.read(4, 7)
+            assert np.array_equal(rest, whole[4:])
+            assert np.shares_memory(first, rest)
+            assert store.read(2, 2).shape == (0, 5)
+
+    def test_load_holds_one_copy_of_the_rows(self, tmp_path, rng):
+        ids = [f"m{i}" for i in range(64)]
+        write_store(tmp_path, ids, [rng.standard_normal((64, 128 * 128))])
+        tracemalloc.start()
+        try:
+            rows = load_store(tmp_path, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (64, 128 * 128)
+        assert peak < 1.1 * rows.nbytes
+
+    def test_reader_checks_each_block_as_it_reads(self, tmp_path, rng):
+        ids, descriptors = toy_store(tmp_path, rng, n=6)
+        descriptors[4][0] = np.inf
+        write_store(tmp_path, ids, descriptors)
+        with StoreReader(tmp_path, ids) as store:
+            store.read(0, 4)
+            with pytest.raises(CorruptFileError, match=r"row 4 \(m4\) is short or non-finite"):
+                store.read(3, 6)
+        toy_store(tmp_path, rng, n=6, dim=1024)  # rows past the read buffer
+        path = tmp_path / "descriptors.npy"
+        with StoreReader(tmp_path, ids) as store:
+            os.truncate(path, path.stat().st_size - 3)  # cut after the checks at opening
+            store.read(0, 4)
+            with pytest.raises(CorruptFileError, match=r"row 5 \(m5\) is short or non-finite"):
+                store.read(3, 6)
 
     def test_failed_write_removes_temporary_and_made_directories(self, tmp_path, rng):
         rows = [np.ones(5), np.ones(4)]

@@ -122,6 +122,16 @@ class TestReadMetadata:
                 reader(path)
             assert str(info.value) == f"{path}:3: row has fewer cells than the header"
 
+    @pytest.mark.parametrize("blank", ["\n", "\n\n", "\r\n"])
+    def test_error_after_blank_lines_names_the_file_line(self, tmp_path, blank):
+        text = HEADER + blank + "1,bogus,t1,subjA,m01,still,a.bfm\n"
+        path = write_csv(tmp_path, text)
+        line = 2 + blank.count("\n")
+        for reader in (read_metadata, read_metadata_oracle):
+            with pytest.raises(MetadataError) as info:
+                reader(path)
+            assert str(info.value) == f"{path}:{line}: unknown role 'bogus'"
+
     def test_check_files_flags_missing(self, tmp_path):
         path = write_csv(tmp_path, MINIMAL)
         with pytest.raises(MetadataError, match="missing"):
