@@ -18,14 +18,17 @@ Gallery model set (.bgm), "BGM1", little-endian:
         w       dim float32
         b, rescale_a, rescale_b   float32 each
 
-Both round-trip bit-exactly.  load_gallery reads a .bgm record by
-record, each model's w and tail straight into the arrays that hold
-them, once the file size covers what the header declares.  Reading a
-.bfm and checking its values are apart: read_feature_map checks the
-header and the payload size, map_faults checks the values of a whole
-(N, H, W, C) stack of maps at once (finite, and not negative where
-rectified), FeatureMap.validate checks one map the same way, and
-load_feature_map reads and validates.
+Both round-trip bit-exactly.  save_gallery casts and writes w a row at
+a time, so no float32 copy of the whole matrix is made; load_gallery
+reads a .bgm record by record, each model's w and tail straight into
+the arrays that hold them, once the file size covers what the header
+declares.  Reading a .bfm and checking its values are apart:
+read_feature_map checks the header and the payload size, reading the
+file with three system calls between its open and close (the header,
+an fstat, one readv of the payload and a byte past it), map_faults
+checks the values of a whole (N, H, W, C) stack of maps at once
+(finite, and not negative where rectified), FeatureMap.validate checks
+one map the same way, and load_feature_map reads and validates.
 
 Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
@@ -122,9 +125,18 @@ def save_feature_map(path, values, rectified=False):
 
 def read_feature_map(path):
     """The map stored at ``path``, with its header and payload size
-    checked but not its values (see :func:`map_faults`)."""
-    with open(path, "rb") as f:
-        header = f.read(20)
+    checked but not its values (see :func:`map_faults`).
+
+    Between its open and close, a map takes three system calls: a read
+    of the 20-byte header, an fstat that sizes the payload before the
+    array the header declares is allocated, and one readv into that
+    array and a 1-byte buffer, which proves the end of the file.  No
+    buffer is sized from the file's length, so a long file with a small
+    header costs no more than its header declares.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header = os.read(fd, 20)
         if len(header) < 20:
             raise CorruptFileError(f"{path}: truncated header")
         if header[:4] != BFM_MAGIC:
@@ -138,18 +150,22 @@ def read_feature_map(path):
         if n > MAX_MAP_ELEMENTS:
             raise BoundsError(f"{path}: {h}x{w}x{c} exceeds the format limit")
         # size the payload before allocating what the header declares
-        size = os.fstat(f.fileno()).st_size - 20
+        size = os.fstat(fd).st_size - 20
         if size < 4 * n:
             raise CorruptFileError(
                 f"{path}: header declares {n} floats, payload holds {size // 4}"
             )
         values = np.empty((h, w, c), dtype="<f4")
-        got = f.readinto(values)
-        if got != 4 * n or f.read(1):
+        got = os.readv(fd, [values, bytearray(1)])
+        if got != 4 * n:  # the file shrank, or holds a byte past the payload
             raise CorruptFileError(
                 f"{path}: header declares {n} floats, payload holds "
-                f"{'more' if got == 4 * n else got // 4}"
+                f"{'more' if got > 4 * n else got // 4}"
             )
+    except OSError as exc:  # name the file, as open() would: os.read and os.readv do not
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
     return FeatureMap(values, bool(flags & FLAG_RECTIFIED))
 
 
@@ -161,20 +177,21 @@ def load_feature_map(path):
 
 
 def save_gallery(path, gallery):
-    w = np.ascontiguousarray(gallery.w, dtype="<f4")
+    """Write ``gallery`` as a .bgm, casting each row of ``w`` to float32
+    as it is written, so no float32 copy of the whole matrix is made."""
     tail = np.stack([gallery.b, gallery.rescale_a, gallery.rescale_b],
                     axis=1).astype("<f4")
     with open(path, "wb") as f:
         f.write(BGM_MAGIC)
         f.write(struct.pack("<II", len(gallery.identity_ids), gallery.descriptor_dim))
-        for identity_id, w_row, tail_row in zip(gallery.identity_ids, w, tail):
+        for identity_id, w_row, tail_row in zip(gallery.identity_ids, gallery.w, tail):
             raw = identity_id.encode("utf-8")
             if len(raw) > 0xFFFF:
                 raise FormatError(f"identity id too long: {identity_id!r}")
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
-            f.write(w_row.tobytes())
-            f.write(tail_row.tobytes())
+            f.write(w_row.astype("<f4"))
+            f.write(tail_row)
 
 
 def load_gallery(path):

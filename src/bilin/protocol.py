@@ -16,7 +16,6 @@ location-averaged first-order features carry almost no identity signal.
 import csv
 import operator
 import re
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +33,7 @@ CSV_COLUMNS = ("split_index", "role", "template_id", "subject_id",
 MEDIA_ID_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
 
-@dataclass
+@dataclass(slots=True)
 class MediaItem:
     media_id: str
     kind: str
@@ -42,7 +41,7 @@ class MediaItem:
     template_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Template:
     template_id: str
     subject_id: str
@@ -85,86 +84,115 @@ def write_metadata(splits, path):
                         ])
 
 
-def read_metadata(path, check_files=False):
-    """Load every split from a metadata CSV, sorted by split index.
-
-    Raises MetadataError on schema violations: bad header, a row with
-    fewer cells than the header, unknown role or kind, duplicate media
-    ids, a template spanning two subjects or two roles, an empty file, or
-    one that is not UTF-8.  With ``check_files`` every referenced feature
-    file must exist.
-
-    Rows are read as ``csv.DictReader`` would read them: columns in any
-    order, blank lines skipped and extra cells ignored.  An error names
-    the file line its row ends on.
-    """
-    path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or set(header) != set(CSV_COLUMNS):
-                raise MetadataError(
-                    f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
-                )
-            rows, lines = [], array("l")  # the file line each row ends on
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except UnicodeDecodeError:
-        raise MetadataError(f"{path}: not UTF-8 text") from None
-    if not rows:
-        raise MetadataError(f"{path}: no media rows")
+def _read_rows(path, reader, header):
+    """The splits of the rows ``reader`` yields after ``header``, by split
+    index; see :func:`read_metadata`."""
     column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
     cells = operator.itemgetter(*(column[name] for name in CSV_COLUMNS))
     width = len(header)
+    kinds = dict(zip(KINDS, KINDS))  # so each record holds the one canonical string
 
     splits = {}
     seen_media = set()
     template_role = {}
     templates = {}
-    for lineno, row in zip(lines, rows):
-        if len(row) < width:
-            raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
-        split_cell, role, template_id, subject_id, media_id, kind, rel_path = cells(row)
-        try:
-            split_index = int(split_cell)
-        except ValueError:
-            raise MetadataError(f"{path}:{lineno}: bad split_index {split_cell!r}") from None
-        if role not in ROLES:
-            raise MetadataError(f"{path}:{lineno}: unknown role {role!r}")
-        if kind not in KINDS:
-            raise MetadataError(f"{path}:{lineno}: unknown kind {kind!r}")
-        if not media_id or media_id in seen_media:
-            raise MetadataError(f"{path}:{lineno}: duplicate media_id {media_id!r}")
-        if not MEDIA_ID_PATTERN.fullmatch(media_id) or not media_id.strip("."):
-            raise MetadataError(
-                f"{path}:{lineno}: media_id {media_id!r} is not filename-safe"
-            )
-        seen_media.add(media_id)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) < width:
+                raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
+            split_cell, role, template_id, subject_id, media_id, kind, rel_path = cells(row)
+            try:
+                split_index = int(split_cell)
+            except ValueError:
+                raise MetadataError(f"{path}:{lineno}: bad split_index {split_cell!r}") from None
+            if role not in ROLES:
+                raise MetadataError(f"{path}:{lineno}: unknown role {role!r}")
+            if kind not in KINDS:
+                raise MetadataError(f"{path}:{lineno}: unknown kind {kind!r}")
+            if not media_id or media_id in seen_media:
+                raise MetadataError(f"{path}:{lineno}: duplicate media_id {media_id!r}")
+            if not MEDIA_ID_PATTERN.fullmatch(media_id) or not media_id.strip("."):
+                raise MetadataError(
+                    f"{path}:{lineno}: media_id {media_id!r} is not filename-safe"
+                )
+            if "\x00" in rel_path:
+                raise MetadataError(f"{path}:{lineno}: path {rel_path!r} holds a NUL byte")
+            seen_media.add(media_id)
 
-        key = (split_index, template_id)
-        template = templates.get(key)
-        if template is None:
-            split = splits.get(split_index)
-            if split is None:
-                split = splits[split_index] = Split(split_index=split_index)
-            template = templates[key] = Template(template_id, subject_id)
-            template_role[key] = role
-            split.templates(role).append(template)
-        else:
-            if template.subject_id != subject_id:
+            key = (split_index, template_id)
+            template = templates.get(key)
+            if template is None:
+                split = splits.get(split_index)
+                if split is None:
+                    split = splits[split_index] = Split(split_index=split_index)
+                template = templates[key] = Template(template_id, subject_id)
+                template_role[key] = role
+                split.templates(role).append(template)
+            else:
+                if template.subject_id != subject_id:
+                    raise MetadataError(
+                        f"{path}:{lineno}: template {template_id!r} spans "
+                        f"subjects {template.subject_id!r} and {subject_id!r}"
+                    )
+                if template_role[key] != role:
+                    raise MetadataError(
+                        f"{path}:{lineno}: template {template_id!r} spans "
+                        f"roles {template_role[key]!r} and {role!r}"
+                    )
+            template.media.append(
+                MediaItem(media_id, kinds[kind], rel_path, template.template_id))
+    except csv.Error as exc:
+        raise MetadataError(f"{path}:{reader.line_num}: {exc}") from None
+    if not splits:
+        raise MetadataError(f"{path}: no media rows")
+    return splits
+
+
+def read_metadata(path, check_files=False):
+    """Load every split from a metadata CSV, sorted by split index.
+
+    Raises MetadataError on schema violations: bad header, a row with
+    fewer cells than the header, unknown role or kind, duplicate media
+    ids, a path holding a NUL byte, a template spanning two subjects or
+    two roles, a cell the csv module cannot parse (one over its field
+    size limit), an empty file, or one that is not UTF-8.  With
+    ``check_files`` every referenced feature file must exist.
+
+    Rows are read as ``csv.DictReader`` would read them: columns in any
+    order, blank lines skipped and extra cells ignored.  An error names
+    the file line its row ends on.
+
+    The file is read in one streaming pass: each row is checked and
+    becomes a record as it is read, and no row is kept.  The errors come
+    in the order of a reader that decodes the whole file first: a bad
+    header, then a byte that is not UTF-8 anywhere in the file, then the
+    first bad row.  So the header is checked before the body is decoded,
+    and a bad row is raised only once the rest of the file has decoded.
+    """
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise MetadataError(f"{path}:{reader.line_num}: {exc}") from None
+            if header is None or set(header) != set(CSV_COLUMNS):
                 raise MetadataError(
-                    f"{path}:{lineno}: template {template_id!r} spans "
-                    f"subjects {template.subject_id!r} and {subject_id!r}"
+                    f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
                 )
-            if template_role[key] != role:
-                raise MetadataError(
-                    f"{path}:{lineno}: template {template_id!r} spans "
-                    f"roles {template_role[key]!r} and {role!r}"
-                )
-        template.media.append(MediaItem(media_id, kind, rel_path, template_id))
+            try:
+                splits = _read_rows(path, reader, header)
+            except MetadataError:
+                # a byte that is not UTF-8 past the bad row is reported first
+                while f.read(1 << 16):
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise MetadataError(f"{path}: not UTF-8 text") from None
 
     if check_files:
         missing = [

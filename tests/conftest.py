@@ -195,17 +195,29 @@ def read_metadata_oracle(path):
     """``read_metadata`` as a ``csv.DictReader`` reads the file, one dict
     per row, without the file checks.  A short row leaves its missing
     cells at ``restval``; the header's last column is the last of its
-    name, so one of them is always a cell the reader needs."""
+    name, so one of them is always a cell the reader needs.  A row the
+    csv module cannot parse ends the rows, and stands as an error at its
+    line once the rows before it are checked and the rest is decoded."""
     path = Path(path)
     missing = object()
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f, restval=missing)
-            if reader.fieldnames is None or set(reader.fieldnames) != set(CSV_COLUMNS):
+            try:
+                fieldnames = reader.fieldnames
+            except csv.Error as exc:  # DictReader.line_num lags a failed read
+                raise MetadataError(f"{path}:{reader.reader.line_num}: {exc}") from None
+            if fieldnames is None or set(fieldnames) != set(CSV_COLUMNS):
                 raise MetadataError(
                     f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
                 )
-            rows = [(reader.line_num, row) for row in reader]
+            rows = []
+            try:
+                for row in reader:
+                    rows.append((reader.line_num, row))
+            except csv.Error as exc:
+                rows.append((reader.reader.line_num, exc))
+                f.read()
     except UnicodeDecodeError:
         raise MetadataError(f"{path}: not UTF-8 text") from None
     if not rows:
@@ -216,6 +228,8 @@ def read_metadata_oracle(path):
     template_role = {}
     templates = {}
     for lineno, row in rows:
+        if isinstance(row, csv.Error):
+            raise MetadataError(f"{path}:{lineno}: {row}")
         if any(cell is missing for cell in row.values()):
             raise MetadataError(f"{path}:{lineno}: row has fewer cells than the header")
         try:
@@ -237,6 +251,8 @@ def read_metadata_oracle(path):
             raise MetadataError(
                 f"{path}:{lineno}: media_id {media_id!r} is not filename-safe"
             )
+        if "\x00" in row["path"]:
+            raise MetadataError(f"{path}:{lineno}: path {row['path']!r} holds a NUL byte")
         seen_media.add(media_id)
 
         split = splits.setdefault(split_index, Split(split_index=split_index))

@@ -392,6 +392,44 @@ class TestMetadata:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def inputs(tmp_path, data, stage):
+        """The input flags of ``stage``, with inputs past the metadata absent."""
+        return {"encode": ["--input", str(data)], "train-gallery": [
+            "--data", str(data), "--descriptors", str(tmp_path / "desc")],
+            "eval": ["--data", str(data), "--descriptors", str(tmp_path / "desc"),
+                     "--models", str(tmp_path / "models")],
+            "finetune": ["--data", str(data)]}[stage]
+
+    @pytest.mark.parametrize("stage", ["encode", "train-gallery", "eval", "finetune"])
+    def test_cell_over_the_csv_field_limit_exits_3(self, tmp_path, capsys, stage):
+        data = synth(tmp_path)
+        metadata = data / "metadata.csv"
+        lines = metadata.read_text().splitlines()
+        lines[2] += "x" * (1 << 17)
+        metadata.write_text("".join(line + "\n" for line in lines))
+        assert main([stage, *self.inputs(tmp_path, data, stage),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{metadata}:3: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", [["encode", "--input"], ["encode", "--check-files", "--input"],
+                                       ["finetune", "--data"]])
+    def test_path_with_a_nul_byte_exits_3(self, tmp_path, capsys, stage):
+        data = synth(tmp_path, extra=("--templates", "6"))  # with train templates
+        metadata = data / "metadata.csv"
+        lines = metadata.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if ",train," in line)
+        lines[i] += "\0"
+        metadata.write_text("".join(line + "\n" for line in lines))
+        assert main([*stage, str(data), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{metadata}:{i + 1}: path " in err and "holds a NUL byte" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainGallery:
     def test_writes_models_per_split(self, tmp_path):

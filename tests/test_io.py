@@ -99,6 +99,44 @@ class TestFeatureMapFormat:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_long_file_is_corruption_reading_only_what_the_header_declares(self, tmp_path, rng):
+        values = rng.random((16, 16, 1024)).astype(np.float32)
+        path = tmp_path / "long.bfm"
+        save_feature_map(path, values)
+        os.truncate(path, path.stat().st_size + 64 * 2**20)  # a sparse 64 MiB tail
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="payload holds more"):
+                read_feature_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * values.nbytes
+
+    @pytest.mark.parametrize("header, floats", [
+        (BFM_MAGIC, 0), (b"XXXX" + bytes(16), 0), (None, 7), (None, 9), (None, 8)],
+        ids=["short-header", "bad-magic", "short-payload", "long-payload", "sound"])
+    def test_every_read_closes_its_file(self, tmp_path, monkeypatch, header, floats):
+        path = tmp_path / "m.bfm"
+        header = header or BFM_MAGIC + struct.pack("<IIIB3x", 2, 2, 2, 0)
+        path.write_bytes(header + bytes(4 * floats))
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+        monkeypatch.setattr(os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
+        monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+        try:
+            read_feature_map(path)
+        except FormatError:
+            assert floats != 8
+        assert len(opened) == 1 and closed == opened
+
+    def test_a_directory_is_an_os_error_naming_it(self, tmp_path):
+        path = tmp_path / "m.bfm"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            read_feature_map(path)
+        assert str(info.value) == f"[Errno {info.value.errno}] Is a directory: {str(path)!r}"
+
     def test_all_zero_payload_is_accepted(self, tmp_path):
         path = tmp_path / "zero.bfm"
         write_bfm(path, 2, 2, 2, 1, np.zeros(8))
@@ -222,6 +260,26 @@ class TestGalleryFormat:
             tracemalloc.stop()
         assert np.array_equal(loaded.w, gallery.w)
         assert peak < 1.5 * gallery.w.nbytes
+
+    def test_save_casts_one_row_at_a_time(self, tmp_path, rng):
+        k, dim = 8, 262144
+        gallery = GalleryModelSet([f"id{i}" for i in range(k)], rng.standard_normal((k, dim)),
+                                  rng.standard_normal(k), rng.random(k) + 0.5,
+                                  rng.standard_normal(k))
+        path = tmp_path / "g.bgm"
+        tracemalloc.start()
+        try:
+            save_gallery(path, gallery)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gallery.w.nbytes / 2
+        tail = np.stack([gallery.b, gallery.rescale_a, gallery.rescale_b], axis=1)
+        expected = BGM_MAGIC + struct.pack("<II", k, dim) + b"".join(
+            struct.pack("<H", len(identity_id)) + identity_id.encode()
+            + w_row.astype("<f4").tobytes() + tail_row.astype("<f4").tobytes()
+            for identity_id, w_row, tail_row in zip(gallery.identity_ids, gallery.w, tail))
+        assert path.read_bytes() == expected
 
     def test_every_prefix_and_an_appended_byte_are_corruption(self, tmp_path, rng):
         path = tmp_path / "g.bgm"

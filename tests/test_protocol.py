@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,55 @@ class TestReadMetadata:
             with pytest.raises(MetadataError) as info:
                 reader(path)
             assert str(info.value) == f"{path}:{line}: unknown role 'bogus'"
+
+    def test_bad_row_then_a_late_non_utf8_byte_is_not_utf8(self, tmp_path):
+        rows = "".join(f"1,probe,t{i},subjA,m{i},still,maps/m{i}.bfm\n" for i in range(400))
+        path = tmp_path / "metadata.csv"
+        # the bad byte lies more than one 8 KiB decode chunk past the bad row
+        path.write_bytes((HEADER + "1,bogus,t,subjA,m,still,m.bfm\n" + rows).encode("utf-8")
+                         + b"\xff\n")
+        for reader in (read_metadata, read_metadata_oracle):
+            with pytest.raises(MetadataError) as info:
+                reader(path)
+            assert str(info.value) == f"{path}: not UTF-8 text"
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, line):
+        lines = MINIMAL.splitlines()
+        lines[line - 1] += "x" * csv.field_size_limit()
+        path = write_csv(tmp_path, "".join(f"{text}\n" for text in lines))
+        for reader in (read_metadata, read_metadata_oracle):
+            with pytest.raises(MetadataError) as info:
+                reader(path)
+            assert str(info.value) == (f"{path}:{line}: field larger than field limit "
+                                       f"({csv.field_size_limit()})")
+
+    def test_path_with_a_nul_byte_is_rejected_naming_its_line(self, tmp_path):
+        lines = MINIMAL.splitlines()
+        lines[2] += "\0"
+        path = write_csv(tmp_path, "".join(f"{text}\n" for text in lines))
+        for reader in (read_metadata, read_metadata_oracle):
+            with pytest.raises(MetadataError) as info:
+                reader(path)
+            assert str(info.value) == f"{path}:3: path 'maps/m02.bfm\\x00' holds a NUL byte"
+
+    def test_peak_memory_stays_near_what_the_splits_hold(self, tmp_path):
+        roles = ["gallery", "train", "train"] + ["probe"] * 9
+        path = write_csv(tmp_path, HEADER + "".join(
+            f"1,{roles[t % 12]},s{t // 12:03d}_t{t % 12:02d},s{t // 12:03d},"
+            f"s{t // 12:03d}_t{t % 12:02d}_m{m:02d},{'frame' if m else 'still'},"
+            f"maps/s{t // 12:03d}_t{t % 12:02d}_m{m:02d}.bfm\n"
+            for t in range(600) for m in range(4)))  # 2400 rows
+        read_metadata(path)  # so one-time caches are not counted
+        tracemalloc.start()
+        try:
+            splits = read_metadata(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(1 for _ in splits[0].all_media()) == 2400
+        # a reader that keeps every row before building the records peaks at 1.7x
+        assert peak < 1.5 * held, (peak, held)
 
     def test_check_files_flags_missing(self, tmp_path):
         path = write_csv(tmp_path, MINIMAL)
