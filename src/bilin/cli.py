@@ -39,17 +39,16 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .extractor import ingest_patch, init_conv_params
-from .finetune import TrainConfig, finetune_softmax, init_softmax_head
+from .extractor import init_conv_params
+from .finetune import RawPatches, TrainConfig, finetune_softmax, init_softmax_head
 from .io import (MANIFEST_FILE, Outputs, StoreReader, StoreWriter, load_feature_map,
                  load_gallery, load_store, map_faults, read_feature_map, save_gallery)
 from .svm import train_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
-# of their float64 maps or their descriptors, summed, stays within it.
-# At 256 KiB many_ids' 6x6x16 maps run 56 to a chunk and a 27x27x512 map
-# runs alone; larger budgets were no faster and raised the stage's peak
-# RSS (39.6 against 38.1 MB at 1 MiB).
+# of their float64 maps or their descriptors, summed, stays within it; a
+# map larger than the budget runs alone.  A larger budget buys fewer
+# stacked passes with peak memory.
 ENCODE_CHUNK_BYTES = 1 << 18
 
 
@@ -172,8 +171,8 @@ def _map_chunks(data_dir, media, failures):
             h, w, c = fmap.values.shape
             room = max(1, ENCODE_CHUNK_BYTES // (8 * max(h * w * c, c * c)))
         chunk.append((position, fmap))
-        # the chunk frees it: holding it while the next map is read raised
-        # the peak RSS of 27x27x512 maps, one to a chunk, from 41.3 to 44.1 MB
+        # leave the chunk its only holder, so that a yielded chunk's maps are
+        # freed before the next map is read
         del fmap
         if len(chunk) == room:
             yield chunk
@@ -212,9 +211,8 @@ def cmd_encode(args):
         manifest_path.unlink()
 
     failures, mixed_dims = [], None
-    # a chunk's descriptors live until the next chunk's replace them: freeing
-    # them after each write let the heap shrink and regrow for every 27x27x512
-    # map (194 k minor faults instead of 9 k, and 0.4 s more)
+    # a chunk's descriptors live until the next chunk's replace them, so the
+    # heap keeps their pages instead of returning and refaulting them per chunk
     rows = None
     with Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store:
         # after a failure this run writes nothing; it goes on to list every failure
@@ -268,20 +266,22 @@ def cmd_finetune(args):
     if not split.train:
         raise DataError(f"split {args.split} has no train templates")
 
-    # stored maps double as training patches after min-max ingestion
-    patches, subjects = [], []
+    # stored maps double as training patches after min-max ingestion: each
+    # map is held as read, in float32, with its range, and finetune forms
+    # the float64 patches of a chunk only while that chunk runs
+    maps, subjects = [], []
     for template in sorted(split.train, key=lambda t: t.template_id):
         for item in template.media:
-            fmap = load_feature_map(os.path.join(data_dir, item.path))
-            patches.append(ingest_patch(fmap.values))
+            maps.append(load_feature_map(os.path.join(data_dir, item.path)).values)
             subjects.append(template.subject_id)
+    patches = RawPatches.ingest(maps)
     classes = sorted(set(subjects))
     if len(classes) < 2:
         raise DataError("fine-tuning needs at least 2 train identities")
     labels = [classes.index(s) for s in subjects]
 
     extractor = init_conv_params(
-        args.kernel_size, patches[0].shape[2], args.out_channels, seed=cfg.seed
+        args.kernel_size, maps[0].shape[2], args.out_channels, seed=cfg.seed
     )
     head = init_softmax_head(len(classes), args.out_channels**2, seed=cfg.seed)
     extractor, head, trace = finetune_softmax(
@@ -379,6 +379,8 @@ def _read_csv_columns(path, names):
             rows = list(csv.DictReader(f))
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # such as a cell over the csv module's field size limit
+        raise ConfigError(f"{path}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     columns = []

@@ -192,17 +192,32 @@ def conv_backward(x, params, g_out):
     return _input_grad(x.shape, padded, params, g_pre), g_kernel, g_bias
 
 
+def ingest_range(values):
+    """``(lo, span)`` of min-max ingestion: the array's minimum, and its
+    maximum less its minimum, or 1.0 for a constant array, which so maps
+    to zeros."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    return lo, (hi - lo if hi != lo else 1.0)
+
+
+def scale_patches(values, lo, span):
+    """``(values - lo) / span`` in float64: a patch from its raw array and
+    range, or an ``(N, H, W, C)`` stack of them from ranges shaped
+    ``(N, 1, 1, 1)``.  One pass casts and subtracts, one divides in place."""
+    out = np.subtract(values, lo, dtype=np.float64)
+    out /= span
+    return out
+
+
 def ingest_patch(values):
     """Turn a raw array into a patch with entries in [0, 1].
 
-    Values are min-max scaled into [0, 1]; a constant array maps to zeros.
+    Values are min-max scaled into [0, 1] (see :func:`ingest_range`); a
+    constant array maps to zeros.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ShapeError(f"expected 2-D or 3-D array, got shape {arr.shape}")
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
+    return scale_patches(arr, *ingest_range(arr))

@@ -8,6 +8,13 @@ head; both are divided by ``lr_decay_factor`` whenever the validation
 error rate fails to improve by more than MIN_IMPROVEMENT for
 ``patience`` consecutive epochs.
 
+The samples are held as :class:`RawPatches`: raw arrays, such as the
+float32 maps the CLI reads, each with its min-max range; a plain
+sequence of patches is held as itself, at range (0, 1).  No float64
+patch outlives its chunk: a chunk's patches are formed when it runs, in
+one pass over its raw values, with the arithmetic of
+:func:`~bilin.extractor.ingest_patch` and so with its bits.
+
 Dropout is inverted (activations scaled by 1/(1-rate) while training),
 so evaluation applies the learned weights unchanged and is fully
 deterministic.
@@ -33,21 +40,17 @@ import numpy as np
 
 from .encoder import encode_shared
 from .errors import DataError, DivergenceError, ShapeError
-from .extractor import conv_forward, conv_output_shape, conv_param_grads
+from .extractor import (conv_forward, conv_output_shape, conv_param_grads, ingest_range,
+                        scale_patches)
 
 # Absolute validation-error improvement below this counts as "no change"
 # for the learning-rate schedule.
 MIN_IMPROVEMENT = 1e-4
 
-# Bytes of one sample's largest array that one stacked pass may hold:
-# 14 of many_ids' 6x6x16 patches, while a 27x27x512 patch runs alone.
-# Chosen by measurement on the many_ids data (2-core host, one BLAS
-# thread): a loss pass over its 1200 patches takes 127 ms one patch at a
-# time, 62 ms at 3 patches per chunk and 26 ms at 14.  56 patches per
-# chunk (18 ms) or more are faster still, but a chunk holds a few arrays
-# of this size per sample at once: the stage's peak RSS (49.5 MB one
-# patch at a time) grew by 0.3 MB at 64 KiB, 0.35 MB at 128 KiB and
-# 0.7 MB at 256 KiB.
+# Bytes of one sample's largest array (see _sample_bytes) that one stacked
+# pass may hold.  A chunk holds a few arrays of this size per sample at
+# once, so a larger budget buys fewer Python-level passes with peak
+# memory; a sample larger than half the budget runs alone.
 STACK_BYTES = 1 << 16
 
 
@@ -129,13 +132,48 @@ def _sample_bytes(shape, extractor):
                    extractor.kernel.size)
 
 
-def _chunks(patches, indices, extractor):
-    """Runs of consecutive samples that share a patch shape and together
-    hold at most STACK_BYTES in each per-sample array (or one sample
-    whose arrays are larger)."""
+@dataclass
+class RawPatches:
+    """Patches held as raw arrays and ranges: patch ``i`` is
+    ``(values[i] - lo[i]) / span[i]`` in float64, formed only while a
+    chunk that holds it runs.
+
+    values : sequence of (H, W, C) real arrays, such as float32 maps
+    lo, span : (n,) float64 arrays
+    """
+
+    values: object
+    lo: np.ndarray
+    span: np.ndarray
+
+    @classmethod
+    def ingest(cls, maps):
+        """``maps`` with the ranges of :func:`~bilin.extractor.ingest_patch`,
+        whose patches they form bit for bit."""
+        ranges = np.array([ingest_range(m) for m in maps], dtype=np.float64)
+        lo, span = ranges.reshape(-1, 2).T
+        return cls(maps, lo, span)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def _as_raw(patches):
+    """``patches`` as RawPatches.  A sequence of patches is its own raw
+    values at range (0, 1): ``x - 0.0`` and ``x / 1.0`` keep every bit."""
+    if isinstance(patches, RawPatches):
+        return patches
+    n = len(patches)
+    return RawPatches(patches, np.zeros(n), np.ones(n))
+
+
+def _chunks(values, indices, extractor):
+    """Runs of consecutive samples that share a patch shape, read from
+    their raw ``values``, and together hold at most STACK_BYTES in each
+    per-sample array (or one sample whose arrays are larger)."""
     run, shape, room = [], None, 0
     for i in indices:
-        patch_shape = np.shape(patches[i])
+        patch_shape = np.shape(values[i])
         if len(patch_shape) != 3:  # a stack of 2-D patches would pass for one patch
             raise ShapeError(f"patch {i}: expected (H, W, C), got shape {patch_shape}")
         if run and (patch_shape != shape or len(run) == room):
@@ -150,9 +188,16 @@ def _chunks(patches, indices, extractor):
 
 
 def _forward(patches, run, extractor):
-    """Conv input, feature maps and encoding of one chunk: a single patch
-    as itself, several as an (n, H, W, C) stack."""
-    x = patches[run[0]] if len(run) == 1 else np.stack([patches[i] for i in run])
+    """Conv input, feature maps and encoding of one chunk, whose float64
+    patches are formed here in one pass over its raw values: a single
+    patch as itself, several as an (n, H, W, C) stack."""
+    if len(run) == 1:
+        (i,) = run
+        values, lo, span = patches.values[i], patches.lo[i], patches.span[i]
+    else:
+        values = np.stack([patches.values[i] for i in run])
+        lo, span = (a[run].reshape(-1, 1, 1, 1) for a in (patches.lo, patches.span))
+    x = scale_patches(values, lo, span)
     fmap = conv_forward(x, extractor)
     return x, fmap, encode_shared(fmap)
 
@@ -181,10 +226,11 @@ def mean_loss_and_error(patches, labels, extractor, head):
     Raises DataError unless ``labels`` is non-empty, aligned with
     ``patches`` and in ``[0, head.n_classes)``.
     """
+    patches = _as_raw(patches)
     labels = _labels_for(patches, labels, head.n_classes, "evaluated")
     total = 0.0
     wrong = 0
-    for run in _chunks(patches, range(len(labels)), extractor):
+    for run in _chunks(patches.values, range(len(labels)), extractor):
         _, _, enc = _forward(patches, run, extractor)
         logp = _log_softmax(_logits(head, enc.desc.reshape(len(run), -1)))
         y = labels[run]
@@ -229,7 +275,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     ----------
     extractor : ConvParams (updated with lr_lower)
     head : SoftmaxHead (updated with lr_last)
-    patches : sequence of (H, W, C) arrays in [0, 1]
+    patches : sequence of (H, W, C) arrays in [0, 1], or RawPatches
     labels : sequence of ints in [0, head.n_classes)
     cfg : TrainConfig
     val_patches, val_labels : optional held-out set for the
@@ -250,6 +296,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     """
     cfg.validate()
     n_classes = head.n_classes
+    patches = _as_raw(patches)
     labels = _labels_for(patches, labels, n_classes, "training")
     counts = np.bincount(labels, minlength=n_classes)
     if np.any(counts == 0):
@@ -257,6 +304,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     if (val_patches is None) != (val_labels is None):
         raise DataError("give both val_patches and val_labels, or neither")
     if val_patches is not None:
+        val_patches = _as_raw(val_patches)
         val_labels = _labels_for(val_patches, val_labels, n_classes, "validation")
 
     extractor = extractor.copy()
@@ -277,7 +325,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
             batch = order[start : start + cfg.batch_size]
             grads = [np.zeros_like(a) for a in
                      (head.weights, head.bias, extractor.kernel, extractor.bias)]
-            for run in _chunks(patches, batch, extractor):
+            for run in _chunks(patches.values, batch, extractor):
                 _add_gradients(grads, patches, run, labels[run], extractor, head,
                                cfg, rng, trace)
             g_w, g_b, g_kernel, g_bias = grads

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MetadataError
-from .io import save_feature_map
+from .io import MAX_MAP_ELEMENTS, save_feature_map
 
 ROLES = ("train", "gallery", "probe")
 KINDS = ("still", "frame")
@@ -231,6 +231,11 @@ class SynthConfig:
             raise ConfigError("media_per_template must be positive")
         if len(self.map_dims) != 3 or min(self.map_dims) < 1:
             raise ConfigError(f"bad map_dims {self.map_dims!r}")
+        h, w, c = self.map_dims
+        # checked before anything is drawn: a map, and the c x c mixing matrix
+        if max(h * w * c, c * c) > MAX_MAP_ELEMENTS:
+            raise ConfigError(f"map_dims {h}x{w}x{c}: a map or the {c}x{c} mixing matrix "
+                              f"exceeds the .bfm limit of {MAX_MAP_ELEMENTS} values")
         if not 0.0 < self.impostor_fraction < 1.0:
             raise ConfigError("impostor_fraction must lie strictly in (0, 1)")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

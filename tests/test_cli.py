@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -14,10 +15,12 @@ from conftest import score_matrix_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilin import evaluate
+from bilin import evaluate, finetune
 from bilin.cli import ENCODE_CHUNK_BYTES, build_parser, main
 from bilin.encoder import encode
 from bilin.errors import CorruptFileError, FormatError, NumericError
+from bilin.extractor import ingest_patch, init_conv_params
+from bilin.finetune import TrainConfig, finetune_softmax, init_softmax_head
 from bilin.io import (StoreReader, StoreWriter, load_feature_map, load_gallery, load_store,
                       save_feature_map)
 from bilin.protocol import read_metadata
@@ -127,6 +130,25 @@ class TestSynth:
                    "--seed", "11"])
         assert rc == 0
         assert tree_hash(out) == tree_hash(synth(tmp_path, "plain"))
+
+    # the mixing matrix of either would take 74.5 GiB of float64, and a map
+    # of the first 7.1 PiB
+    @pytest.mark.parametrize("dims", ["100000x100000x100000", "1x1x100000"])
+    def test_map_dims_over_the_format_limit_exit_2_allocating_nothing(self, tmp_path,
+                                                                       capsys, dims):
+        out = tmp_path / "data"
+        flags = [*SYNTH_FLAGS, "--map-dims", dims]
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--out", str(out), *flags]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "config error" in err and dims in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert peak < 1 << 20, peak
 
     def test_malformed_config_file_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -585,6 +607,73 @@ class TestFinetuneCommand:
                    "--out", str(tmp_path / "ft")])
         assert rc == 2
 
+    def test_outputs_equal_finetune_softmax_on_ingested_patches(self, tmp_path,
+                                                                monkeypatch):
+        # 32 train maps of 6x6x4, which run many to a chunk
+        data = synth(tmp_path, extra=("--templates", "11", "--identities", "5",
+                                      "--impostor-fraction", "0.2", "--media", "4"))
+        (split,) = read_metadata(data / "metadata.csv")
+        train = [m for t in sorted(split.train, key=lambda t: t.template_id)
+                 for m in t.media]
+        assert len(train) == 32
+        rng = np.random.default_rng(3)
+        # a constant map, and a 40x40x4 one that runs alone amid the small ones
+        save_feature_map(data / train[0].path, np.full((6, 6, 4), 0.7, np.float32))
+        save_feature_map(data / train[13].path, rng.random((40, 40, 4)))
+        out = tmp_path / "ft"
+        flags = ["--epochs", "3", "--batch-size", "16", "--seed", "2", "--dropout", "0.25"]
+        formed, scale_patches = [], finetune.scale_patches
+
+        def recorded(values, lo, span):
+            formed.append(np.shape(values))
+            return scale_patches(values, lo, span)
+
+        monkeypatch.setattr(finetune, "scale_patches", recorded)
+        assert main(["finetune", "--data", str(data), "--out", str(out), *flags]) == 0
+        assert (40, 40, 4) in formed and max(s[0] for s in formed if len(s) == 4) > 8
+
+        # the oracle: every map ingested up front into a list of float64 patches
+        patches = [ingest_patch(load_feature_map(data / m.path).values) for m in train]
+        subjects = [t.subject_id for t in sorted(split.train, key=lambda t: t.template_id)
+                    for _ in t.media]
+        classes = sorted(set(subjects))
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=2, dropout_rate=0.25)
+        extractor, head, trace = finetune_softmax(
+            init_conv_params(3, 4, 4, seed=2), init_softmax_head(len(classes), 16, seed=2),
+            patches, [classes.index(s) for s in subjects], cfg)
+        arrays = {"extractor_kernel.npy": extractor.kernel,
+                  "extractor_bias.npy": extractor.bias,
+                  "head_weights.npy": head.weights, "head_bias.npy": head.bias}
+        for name, array in arrays.items():
+            buffer = io.BytesIO()
+            np.save(buffer, array)
+            assert (out / name).read_bytes() == buffer.getvalue(), name
+        assert (out / "classes.json").read_text() == json.dumps(classes) + "\n"
+        assert (out / "loss_trace.json").read_text() == json.dumps(trace) + "\n"
+
+    def test_peak_memory_grows_by_the_float32_map_per_train_map(self, tmp_path):
+        n = 16 * 16 * 64
+        peaks, train_maps = [], []
+        for media in (2, 8):  # 8 and 32 train maps
+            data = synth(tmp_path, f"data{media}", [
+                "--templates", "6", "--identities", "5", "--impostor-fraction", "0.2",
+                "--media", str(media), "--map-dims", "16x16x64"])
+            (split,) = read_metadata(data / "metadata.csv")
+            train_maps.append(sum(len(t.media) for t in split.train))
+            tracemalloc.start()
+            try:
+                assert main(["finetune", "--data", str(data), "--out",
+                             str(tmp_path / f"ft{media}"), "--epochs", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra = train_maps[1] - train_maps[0]
+        assert extra == 24
+        # per extra train map: its float32 values and its float64 range, plus
+        # 4 KiB for its records (array header, list slots, metadata rows);
+        # a float64 patch held per map would add 8 * n bytes
+        assert peaks[1] - peaks[0] < extra * (4 * n + 16 + 4096), peaks
+
 
 class TestPlot:
     def test_det_chart_marks_each_point(self, tmp_path):
@@ -623,6 +712,16 @@ class TestPlot:
         assert main(["plot", "--cmc", str(cmc), "--out", str(tmp_path / "p")]) == 2
         err = capsys.readouterr().err
         assert "odd.csv" in err and (column is None or repr(column) in err)
+
+    def test_cell_over_the_csv_field_limit_exits_2_naming_file(self, tmp_path, capsys):
+        det = tmp_path / "det.csv"
+        det.write_text("threshold,fpir,fnir\n0.5,0.4," + "1" * 140000 + "\n")
+        out = tmp_path / "p"
+        assert main(["plot", "--det", str(det), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "det.csv" in err and "field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_det_without_positive_fpir_exits_2_naming_file_and_column(self, tmp_path,
                                                                       capsys):

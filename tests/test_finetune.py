@@ -8,8 +8,10 @@ from bilin import extractor as extractor_module
 from bilin import finetune
 from bilin.encoder import encode
 from bilin.errors import DataError, DivergenceError, NumericError, ShapeError
-from bilin.extractor import ConvParams, conv_backward, conv_forward, init_conv_params
+from bilin.extractor import (ConvParams, conv_backward, conv_forward, ingest_patch,
+                             init_conv_params)
 from bilin.finetune import (
+    RawPatches,
     TrainConfig,
     finetune_softmax,
     init_softmax_head,
@@ -305,6 +307,39 @@ class TestStackedPassesMatchPerSampleOracle:
         # one pass per mini-batch, and the chunks of the loss passes before
         # and after the epoch; one pass per sample would make 3 * 64
         assert len(passes) <= batches + 2 * chunks
+
+
+class TestRawPatches:
+    """A chunk's patches are formed from raw maps and their ranges in one
+    pass, with the bits of ``ingest_patch``."""
+
+    @pytest.fixture
+    def maps(self):
+        rng = np.random.default_rng(8)
+        maps = [rng.normal(3.0, 2.0, (5, 5, 2)).astype(np.float32) for _ in range(6)]
+        maps[2] = np.full((5, 5, 2), -1.5, np.float32)  # constant: all zeros
+        return maps
+
+    def test_formed_chunk_equals_stacked_ingested_patches(self, maps):
+        raw = RawPatches.ingest(maps)
+        x, _, _ = finetune._forward(raw, list(range(len(maps))), fresh_stack()[0])
+        want = np.stack([ingest_patch(v) for v in maps])
+        assert x.dtype == np.float64 and x.tobytes() == want.tobytes()
+        assert not x[2].any()
+
+    def test_chunk_of_one_forms_the_patch_itself(self, maps):
+        raw = RawPatches.ingest(maps)
+        for i in range(len(maps)):
+            x, _, _ = finetune._forward(raw, [i], fresh_stack()[0])
+            assert x.shape == (5, 5, 2) and x.tobytes() == ingest_patch(maps[i]).tobytes()
+
+    def test_plain_patches_keep_their_bits(self, toy):
+        patches = [p.copy() for p in toy[0][:5]]
+        patches[1][0, 0, 0] = -0.0
+        patches[3][2, 1, 1] = 5e-324  # subnormal
+        x, _, _ = finetune._forward(finetune._as_raw(patches), [0, 1, 2, 3, 4],
+                                    fresh_stack()[0])
+        assert x.tobytes() == np.stack(patches).tobytes()
 
 
 class TestValidation:

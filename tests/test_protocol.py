@@ -390,3 +390,12 @@ class TestSynthGenerate:
             SynthConfig(noise_sigma=-0.1).validate()
         with pytest.raises(ConfigError):
             SynthConfig(num_splits=0).validate()
+
+    def test_map_size_bounded_by_the_format_limit(self):
+        # validate allocates nothing, so the limit itself can be tried
+        SynthConfig(map_dims=(2**14, 2**7, 2**7)).validate()
+        SynthConfig(map_dims=(1, 1, 2**14)).validate()
+        with pytest.raises(ConfigError, match="16384x128x129"):
+            SynthConfig(map_dims=(2**14, 2**7, 2**7 + 1)).validate()
+        with pytest.raises(ConfigError, match="16385x16385 mixing matrix"):
+            SynthConfig(map_dims=(1, 1, 2**14 + 1)).validate()
