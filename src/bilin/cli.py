@@ -42,7 +42,7 @@ from .errors import (
 from .extractor import init_conv_params
 from .finetune import RawPatches, TrainConfig, finetune_softmax, init_softmax_head
 from .io import (MANIFEST_FILE, Outputs, StoreReader, StoreWriter, load_feature_map,
-                 load_gallery, load_store, map_faults, read_feature_map, save_gallery)
+                 load_gallery, map_faults, read_feature_map, save_gallery)
 from .svm import train_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
@@ -237,10 +237,10 @@ def cmd_encode(args):
     return 0
 
 
-def _open_descriptors(opener, media, desc_dir, what):
-    """``opener(desc_dir, media ids)``: load_store or StoreReader."""
+def _open_descriptors(media, desc_dir, what):
+    """The :class:`StoreReader` of ``media``'s rows in the store at ``desc_dir``."""
     try:
-        return opener(desc_dir, [m.media_id for m in media])
+        return StoreReader(desc_dir, [m.media_id for m in media])
     except ConfigError as exc:
         raise ConfigError(f"{what} descriptors: {exc}; run `bilin encode` first") from None
 
@@ -319,9 +319,10 @@ def cmd_train_gallery(args):
             templates = sorted(split.gallery, key=lambda t: t.template_id)
             media = [m for t in templates for m in t.media]
             labels = [t.subject_id for t in templates for _ in t.media]
-            X = _open_descriptors(load_store, media, args.descriptors, "gallery")
-            gallery = train_ovr_svm(X, labels, reg_c=args.reg_c, epochs=args.epochs,
-                                    balanced=args.balanced)
+            # the Gram form reads the store a column block at a time, twice
+            with _open_descriptors(media, args.descriptors, "gallery") as store:
+                gallery = train_ovr_svm(store, labels, reg_c=args.reg_c,
+                                        epochs=args.epochs, balanced=args.balanced)
             name = f"gallery_s{index:02d}.bgm"
             save_gallery(out.path(name), gallery)
             print(f"train-gallery: split {index}: {len(gallery.identity_ids)} models "
@@ -348,8 +349,7 @@ def cmd_eval(args):
             templates = evaluate.probe_templates(split)
             probe_media = [m for t in templates for m in t.media]
             # the probe rows stream from the store a block of templates at a time
-            with _open_descriptors(StoreReader, probe_media, args.descriptors,
-                                   "probe") as probes:
+            with _open_descriptors(probe_media, args.descriptors, "probe") as probes:
                 if probes.dim != gallery.descriptor_dim:
                     raise ConfigError(f"split {index}: probe descriptor dim {probes.dim} != "
                                       f"gallery dim {gallery.descriptor_dim} of {model_path}")

@@ -32,10 +32,12 @@ from .errors import ConfigError, ProtocolError, ShapeError
 
 # Eval's block budget: a block holds the float32 probe rows of whole
 # templates within this many bytes, and a larger template goes alone.
-# At 256 KiB many_ids scores 64 templates of 1 KiB rows a block and each
-# paper_dim template (two 1 MiB rows) goes alone; 1 and 4 MiB timed alike
-# and raised many_ids' eval peak RSS (44.3 and 47.2 against 43.5 MB).
+# A block of small rows spreads the per-block Python work over many
+# templates; a larger budget buys no time, only peak memory.
 EVAL_BLOCK_BYTES = 1 << 18
+# The most ranks a CMC curve reports: the curve holds one recall per
+# rank, so a larger max_rank is a ConfigError before it is allocated.
+MAX_RANK = 1 << 20
 
 
 def pool_features(descriptors):
@@ -134,9 +136,10 @@ class CmcCurve:
 
 
 def compute_cmc(results, max_rank=100):
-    """CMC curve from ProbeRanks or a ProbeResult list."""
-    if max_rank < 1:
-        raise ConfigError(f"max_rank must be at least 1, got {max_rank}")
+    """CMC curve from ProbeRanks or a ProbeResult list, over ranks 1 to
+    ``max_rank`` (at most MAX_RANK)."""
+    if not 1 <= max_rank <= MAX_RANK:
+        raise ConfigError(f"max_rank must be between 1 and {MAX_RANK}, got {max_rank}")
     ranks = _ranks_of(results).rank
     if not ranks.size:
         raise ProtocolError("CMC needs at least one mated probe")

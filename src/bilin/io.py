@@ -40,7 +40,10 @@ after the last row, and both are renamed into place, descriptors first,
 only once the run succeeds, so a manifest always names a whole store
 (see StoreWriter).  StoreReader checks a store once and then reads the
 requested rows a block at a time into one reused buffer, each checked
-finite; load_store reads them all at once through it.
+finite; load_store reads them all at once through it.  StoreReader's
+columns reads a block of columns of every requested row instead, one
+positioned read per row, so a caller that walks the columns a block at
+a time never holds the rows whole.
 """
 
 import os
@@ -438,6 +441,27 @@ class StoreReader:
             if bad < j:
                 raise CorruptFileError(f"{self.path}: row {index[bad]} "
                                        f"({self.media_ids[lo + bad]}) is short or non-finite")
+        return out
+
+    @property
+    def shape(self):
+        """(requested rows, dim): the shape of what :meth:`read` reads whole."""
+        return len(self.media_ids), self.dim
+
+    def columns(self, lo, hi):
+        """Columns ``lo:hi`` of every requested row, ``hi`` clipped at
+        ``dim``, as a new (rows, hi - lo) float32 array: one positioned
+        read per row, each row checked finite."""
+        hi = min(hi, self.dim)
+        out = np.empty((len(self._index), hi - lo), dtype="<f4")
+        fd = self._file.fileno()
+        offsets = (self._start + 4 * (self.dim * self._index + lo)).tolist()
+        got = [os.preadv(fd, [row], offset) for row, offset in zip(out, offsets)]
+        ok = (np.array(got) == 4 * (hi - lo)) & np.isfinite(out).all(axis=1)
+        bad = int(np.argmin(np.append(ok, False)))  # the first non-finite or short row
+        if bad < len(ok):
+            raise CorruptFileError(f"{self.path}: row {self._index[bad]} "
+                                   f"({self.media_ids[bad]}) is short or non-finite")
         return out
 
 

@@ -28,8 +28,11 @@ Gram matrix ``G = X X^T``: margins ``(G A^T + b) * Y``, step ``A <- (1 -
 1/t) A + coef^T / (n lambda t)``, O(n^2 k) per epoch instead of
 O(n dim k).  ``G`` is accumulated and ``W = A X`` formed once, both over
 column blocks of ``X`` cast to float64 one at a time, so no float64 copy
-of the float32 store is made.  With ``n >= dim`` the primal loop runs;
-the two agree to float64 rounding.
+of the float32 store is made.  The blocks come from an array, or
+straight from a descriptor store (``bilin.io.StoreReader.columns``), so
+training from a store holds no copy of ``X`` at all.  With ``n >= dim``
+the primal loop runs on ``X`` read as one block; the two agree to
+float64 rounding.
 """
 
 from dataclasses import dataclass, replace
@@ -38,8 +41,10 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, ProtocolError, ShapeError
 
-# Columns of X cast to float64 at a time by the Gram form; 16 rows make
-# a 512 KiB block.  2048-8192 time alike at 16 x 262144, wider is slower.
+# Columns of X read and cast to float64 at a time by the Gram form:
+# narrow enough that a float64 block is small beside the (k, dim)
+# weights, wide enough that each block's GEMM outweighs its Python and
+# read overhead.
 GRAM_BLOCK = 4096
 
 
@@ -117,16 +122,18 @@ def _subgradient_descent(X, Y, weighted, reg_c, epochs):
     return W, b
 
 
-def _gram_descent(X, Y, weighted, reg_c, epochs):
+def _gram_descent(columns, dim, Y, weighted, reg_c, epochs):
     """``(W, b, scores)`` of the same iterates as :func:`_subgradient_descent`,
     run on the coefficients ``A`` of ``W = A X`` through ``G = X X^T``;
-    ``scores`` are the final ``X W^T + b``.  ``X`` may be float32: only one
-    block of GRAM_BLOCK columns is cast to float64 at a time."""
-    (n, dim), k = X.shape, Y.shape[1]
+    ``scores`` are the final ``X W^T + b``.  ``columns(lo, hi)`` gives the
+    (n, hi - lo) block ``X[:, lo:hi]``, ``hi`` clipped at ``dim``, which may
+    be float32: only one block of GRAM_BLOCK columns is cast to float64 at
+    a time."""
+    n, k = Y.shape
     lam = 1.0 / (reg_c * n)
     G = np.zeros((n, n))
     for start in range(0, dim, GRAM_BLOCK):
-        block = X[:, start:start + GRAM_BLOCK].astype(np.float64)
+        block = columns(start, start + GRAM_BLOCK).astype(np.float64)
         G += block @ block.T
     A, b, coef = np.zeros((k, n)), np.zeros(k), np.empty((n, k))
     for t in range(1, epochs + 1):
@@ -141,7 +148,7 @@ def _gram_descent(X, Y, weighted, reg_c, epochs):
     scores += b
     W = np.empty((k, dim))
     for start in range(0, dim, GRAM_BLOCK):
-        W[:, start:start + GRAM_BLOCK] = A @ X[:, start:start + GRAM_BLOCK].astype(np.float64)
+        W[:, start:start + GRAM_BLOCK] = A @ columns(start, start + GRAM_BLOCK).astype(np.float64)
     return W, b, scores
 
 
@@ -173,7 +180,10 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
 
     Parameters
     ----------
-    descriptors : (n, dim) array
+    descriptors : (n, dim) array, or a reader of one with ``shape`` and
+        ``columns(lo, hi)`` (such as :class:`bilin.io.StoreReader`); the
+        Gram form reads a reader's columns a block at a time and never
+        holds them whole
     labels : sequence of n identity-id strings (>= 2 distinct)
     reg_c : hinge penalty C, finite and > 0
     epochs : full-batch subgradient steps (>= 1), shared by all identities
@@ -188,12 +198,16 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
     if not (np.isfinite(reg_c) and reg_c > 0) or epochs < 1:
         raise ConfigError(f"reg_c must be finite and > 0 and epochs >= 1, "
                           f"got reg_c={reg_c}, epochs={epochs}")
-    X = np.asarray(descriptors)  # the Gram form casts it block by block
-    if X.ndim != 2:
-        raise ShapeError(f"descriptors must be (n, dim), got shape {X.shape}")
-    labels = [str(l) for l in labels]
-    if len(labels) != X.shape[0]:
-        raise ShapeError(f"{X.shape[0]} descriptors but {len(labels)} labels")
+    if callable(getattr(descriptors, "columns", None)):  # a reader
+        shape, columns = descriptors.shape, descriptors.columns
+    else:
+        X = np.asarray(descriptors)
+        shape, columns = X.shape, lambda lo, hi: X[:, lo:hi]
+    if len(shape) != 2:
+        raise ShapeError(f"descriptors must be (n, dim), got shape {shape}")
+    (n, dim), labels = shape, [str(l) for l in labels]
+    if len(labels) != n:
+        raise ShapeError(f"{n} descriptors but {len(labels)} labels")
     identities = sorted(set(labels))
     if len(identities) < 2:
         raise ProtocolError("one-vs-rest training needs at least 2 identities")
@@ -205,10 +219,10 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
         # each positive weighs n_neg / n_pos, each negative 1
         n_pos = positive.sum(axis=0)
         weighted = np.where(positive, (len(labels) - n_pos) / n_pos, -1.0)
-    if X.shape[0] < X.shape[1]:
-        W, b, scores = _gram_descent(X, Y, weighted, reg_c, epochs)
+    if n < dim:
+        W, b, scores = _gram_descent(columns, dim, Y, weighted, reg_c, epochs)
     else:
-        X = X.astype(np.float64, copy=False)
+        X = columns(0, dim).astype(np.float64, copy=False)
         W, b = _subgradient_descent(X, Y, weighted, reg_c, epochs)
         scores = X @ W.T
         scores += b

@@ -15,7 +15,7 @@ from conftest import score_matrix_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilin import evaluate, finetune
+from bilin import evaluate, finetune, svm
 from bilin.cli import ENCODE_CHUNK_BYTES, build_parser, main
 from bilin.encoder import encode
 from bilin.errors import CorruptFileError, FormatError, NumericError
@@ -920,6 +920,19 @@ class TestEdgeValues:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_max_rank_past_its_bound_exits_2(self, pipeline, tmp_path, capsys, source):
+        out, value = tmp_path / "out", "1000000000000"
+        extra = ["--max-rank", value]
+        if source == "config":
+            (tmp_path / "c.txt").write_text(f"max-rank={value}\n")
+            extra = ["--config", str(tmp_path / "c.txt")]
+        assert main([*stage_argv("eval", pipeline, out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"max_rank must be between 1 and {evaluate.MAX_RANK}, got {value}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 NUMERIC_OPTIONS = [(stage, option) for stage, options in {
     "synth": ["identities", "templates", "media", "map-dims", "impostor-fraction",
@@ -1013,6 +1026,47 @@ class TestFailedRunKeepsPreviousOutputs:
         self.check(tmp_path, tmp_path / "eval_big", argv_for, 3)
         assert outcomes[0] == "ok" and "bad" in outcomes
         assert f"row {rows[medium]} ({medium}) is short or non-finite" in capsys.readouterr().err
+
+    # 6 gallery media: the Gram form at dim 16, in blocks of 6, 6 and 4
+    # columns, and the primal loop at dim 4
+    @pytest.mark.parametrize("map_dims, gram", [("6x6x4", True), ("6x6x2", False)],
+                             ids=["gram", "primal"])
+    @pytest.mark.parametrize("fault", ["non-finite", "short"])
+    def test_train_gallery_with_a_bad_gallery_row(self, tmp_path, monkeypatch, capsys,
+                                                  map_dims, gram, fault):
+        run_pipeline(tmp_path, "bad", synth_extra=("--map-dims", map_dims))
+        data, desc = tmp_path / "data_bad", tmp_path / "desc_bad"
+        (split,) = read_metadata(data / "metadata.csv")
+        rows = {m: i for i, m in enumerate((desc / "manifest.csv").read_text().split()[1:])}
+        gallery = [m.media_id for t in split.gallery for m in t.media]
+        medium = max(gallery, key=rows.get)  # the gallery medium stored last
+        store = desc / "descriptors.npy"
+        whole, dim = store.read_bytes(), np.load(store).shape[1]
+        assert (len(gallery) < dim) == gram
+        end = len(whole) - 4 * dim * (len(rows) - 1 - rows[medium])  # where its row ends
+        if fault == "non-finite":  # in its last column, so in the last column block
+            with open(store, "r+b") as f:
+                f.seek(end - 4)
+                f.write(struct.pack("<f", np.inf))
+        monkeypatch.setattr(svm, "GRAM_BLOCK", 6)
+        columns = StoreReader.columns
+
+        def cut(reader, lo, hi):
+            if fault == "short":  # after the checks at opening
+                os.truncate(store, end - 3)
+            return columns(reader, lo, hi)
+
+        monkeypatch.setattr(StoreReader, "columns", cut)
+
+        def argv_for(out):
+            if fault == "short":
+                store.write_bytes(whole)  # whole again for each run to open
+            return ["train-gallery", "--data", str(data), "--descriptors", str(desc),
+                    "--out", str(out)]
+
+        self.check(tmp_path, tmp_path / "models_bad", argv_for, 3)
+        err = capsys.readouterr().err
+        assert err.count(f"row {rows[medium]} ({medium}) is short or non-finite") == 2
 
     def test_train_gallery_with_split_2_descriptors_gone(self, pipeline, tmp_path):
         desc = tmp_path / "desc"

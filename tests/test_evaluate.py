@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilin import evaluate
-from bilin.errors import ProtocolError, ShapeError
+from bilin.errors import ConfigError, ProtocolError, ShapeError
 from bilin.evaluate import (
     ProbeResult,
     aggregate_summaries,
@@ -226,6 +226,12 @@ class TestCmc:
             make_result("t2", "imp", {"a": 1.0, "b": 0.0}),
         ]
         assert compute_cmc(results, max_rank=2).mated_probe_count == 1
+
+    @pytest.mark.parametrize("max_rank", [0, evaluate.MAX_RANK + 1, 10**12])
+    def test_max_rank_out_of_bounds_rejected(self, max_rank):
+        results = [make_result("t1", "a", {"a": 1.0, "b": 0.0})]
+        with pytest.raises(ConfigError, match="max_rank must be between 1 and"):
+            compute_cmc(results, max_rank=max_rank)
 
     def test_no_mated_probes_rejected(self):
         results = [make_result("t1", "imp", {"a": 1.0})]

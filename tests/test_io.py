@@ -461,6 +461,34 @@ class TestDescriptorFiles:
             with pytest.raises(CorruptFileError, match=r"row 5 \(m5\) is short or non-finite"):
                 store.read(3, 6)
 
+    def test_columns_are_blocks_of_the_rows(self, tmp_path, rng):
+        ids, _ = toy_store(tmp_path, rng, n=6, dim=7)
+        order = [ids[4], ids[0], ids[4], ids[2]]
+        whole = load_store(tmp_path, order)
+        with StoreReader(tmp_path, order) as store:
+            assert store.shape == (4, 7)
+            blocks = [store.columns(lo, lo + 3) for lo in range(0, 7, 3)]
+        assert [b.shape for b in blocks] == [(4, 3), (4, 3), (4, 1)]  # hi clipped at dim
+        assert all(b.dtype == np.float32 for b in blocks)
+        assert np.array_equal(np.hstack(blocks), whole)
+
+    def test_columns_check_each_row_they_read(self, tmp_path, rng):
+        ids, descriptors = toy_store(tmp_path, rng, n=6, dim=8)
+        descriptors[4][6] = np.nan
+        write_store(tmp_path, ids, descriptors)
+        order = [ids[1], ids[4], ids[0]]
+        with StoreReader(tmp_path, order) as store:
+            store.columns(0, 4)  # the bad value lies in the other block
+            with pytest.raises(CorruptFileError, match=r"row 4 \(m4\) is short or non-finite"):
+                store.columns(4, 8)
+        toy_store(tmp_path, rng, n=6, dim=8)
+        path = tmp_path / "descriptors.npy"
+        with StoreReader(tmp_path, [ids[5], ids[2]]) as store:
+            os.truncate(path, path.stat().st_size - 3)  # cut after the checks at opening
+            store.columns(0, 4)
+            with pytest.raises(CorruptFileError, match=r"row 5 \(m5\) is short or non-finite"):
+                store.columns(4, 8)
+
     def test_failed_write_removes_temporary_and_made_directories(self, tmp_path, rng):
         rows = [np.ones(5), np.ones(4)]
         for out in (tmp_path, tmp_path / "a" / "b"):

@@ -5,6 +5,7 @@ import pytest
 
 from bilin import svm
 from bilin.errors import DegenerateModelError, ProtocolError, ShapeError
+from bilin.io import Outputs, StoreReader, StoreWriter, load_store
 from bilin.svm import GalleryModelSet, LinearModel, rescale_model, train_ovr_svm
 
 from conftest import hinge_objective
@@ -268,6 +269,55 @@ class TestTrainOvr:
             own = np.array(labels) == ident
             assert np.median(scores[own, j]) == pytest.approx(1.0, abs=1e-9)
             assert np.median(scores[~own, j]) == pytest.approx(-1.0, abs=1e-9)
+
+
+def store_of(path, X):
+    """Write the rows of ``X`` as a descriptor store at ``path``; their ids."""
+    ids = [f"m{i}" for i in range(len(X))]
+    with Outputs(path) as out, StoreWriter(out, ids) as store:
+        store.write(X)
+        store.finish()
+        out.commit()
+    return ids
+
+
+class TestStoreFedTraining:
+    # 20 media: the Gram form at dim 150 (blocks of 64, 64 and 22), the
+    # primal loop at dim 20
+    @pytest.mark.parametrize("dim, form", [(150, "_gram_descent"),
+                                           (20, "_subgradient_descent")],
+                             ids=["gram", "primal"])
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_store_trains_the_bits_of_its_array(self, tmp_path, rng, monkeypatch,
+                                                dim, form, balanced):
+        ids = store_of(tmp_path, rng.standard_normal((20, dim)))
+        order = ids[7:] + ids[:7]  # the store's rows out of their order
+        labels = [f"id{i % 3}" for i in range(len(order))]
+        monkeypatch.setattr(svm, "GRAM_BLOCK", 64)
+        ran, solver = [], getattr(svm, form)
+        monkeypatch.setattr(svm, form, lambda *a: ran.append(form) or solver(*a))
+        kwargs = dict(reg_c=0.5, epochs=30, balanced=balanced)
+        with StoreReader(tmp_path, order) as store:
+            streamed = train_ovr_svm(store, labels, **kwargs)
+        loaded = train_ovr_svm(load_store(tmp_path, order), labels, **kwargs)
+        assert ran == [form, form]
+        assert streamed.identity_ids == loaded.identity_ids
+        for field in ("w", "b", "rescale_a", "rescale_b"):
+            assert np.array_equal(getattr(streamed, field), getattr(loaded, field))
+
+    def test_gram_form_holds_no_copy_of_the_store(self, tmp_path, rng):
+        n, dim = 12, 100000
+        ids = store_of(tmp_path, rng.standard_normal((n, dim)))
+        labels = [f"id{i % 4}" for i in range(n)]  # k = n / 3: W is 8 k dim bytes
+        tracemalloc.start()
+        try:
+            with StoreReader(tmp_path, ids) as store:
+                gallery = train_ovr_svm(store, labels, epochs=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gallery.w.shape == (4, dim)
+        assert peak < 4 * n * dim  # the size of one float32 copy of X
 
 
 class TestGalleryModelSet:
