@@ -39,16 +39,17 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .extractor import init_conv_params
-from .finetune import RawPatches, TrainConfig, finetune_softmax, init_softmax_head
-from .io import (MANIFEST_FILE, Outputs, StoreReader, StoreWriter, load_feature_map,
-                 load_gallery, map_faults, read_feature_map, save_gallery)
+from .extractor import ingest_range, init_conv_params
+from .finetune import MapPatches, TrainConfig, finetune_softmax, init_softmax_head
+from .io import (MANIFEST_FILE, MapFile, MapReader, Outputs, StoreReader, StoreWriter,
+                 load_gallery, save_gallery)
 from .svm import train_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
 # of their float64 maps or their descriptors, summed, stays within it; a
 # map larger than the budget runs alone.  A larger budget buys fewer
-# stacked passes with peak memory.
+# stacked passes with peak memory.  Finetune's first pass over its train
+# maps reads them in the same chunks.
 ENCODE_CHUNK_BYTES = 1 << 18
 
 
@@ -152,48 +153,20 @@ def cmd_synth(args):
 # --------------------------------------------------------------- encode
 
 
-def _map_chunks(data_dir, media, failures):
-    """Read the maps of ``media`` in order and yield them in chunks, each a
-    list of (position in ``media``, FeatureMap) of one shape within
-    ENCODE_CHUNK_BYTES, or a single map.  A map that cannot be read goes
-    to ``failures`` as (position, line) instead."""
-    chunk, room = [], 0
-    for position, item in enumerate(media):
-        try:
-            fmap = read_feature_map(os.path.join(data_dir, item.path))
-        except (FormatError, OSError) as exc:
-            failures.append((position, f"{item.media_id}: {exc}"))
-            continue
-        if chunk and fmap.values.shape != chunk[0][1].values.shape:
-            yield chunk
-            chunk = []
-        if not chunk:
-            h, w, c = fmap.values.shape
-            room = max(1, ENCODE_CHUNK_BYTES // (8 * max(h * w * c, c * c)))
-        chunk.append((position, fmap))
-        # leave the chunk its only holder, so that a yielded chunk's maps are
-        # freed before the next map is read
-        del fmap
-        if len(chunk) == room:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def _chunk_room(shape):
+    """Maps of ``shape`` (H, W, C) in one chunk of ENCODE_CHUNK_BYTES."""
+    h, w, c = shape
+    return max(1, ENCODE_CHUNK_BYTES // (8 * max(h * w * c, c * c)))
 
 
-def _check_and_encode(chunk, media, failures, encoding):
-    """Check the maps of ``chunk`` as one float64 stack, adding each fault
-    to ``failures``, and return their descriptors; or None, encoding
-    nothing, once a medium has failed or when not ``encoding``.  Empties
-    ``chunk``, so that no map outlives its chunk."""
-    maps = np.asarray([fmap.values for _, fmap in chunk], dtype=np.float64)
-    faults = map_faults(maps, [fmap.rectified for _, fmap in chunk])
-    failures += [(position, f"{media[position].media_id}: {fault}")
-                 for (position, _), fault in zip(chunk, faults) if fault]
-    chunk.clear()
-    if failures or not encoding:
-        return None
-    return encode(maps)
+def _report_failures(stage, failures, media, what="media"):
+    """List each (position in ``media``, message) of ``failures`` on stderr,
+    in metadata order, and return exit code 3."""
+    print(f"{stage}: {len(failures)} of {len(media)} {what} failed, nothing written:",
+          file=sys.stderr)
+    for position, message in sorted(failures):
+        print(f"  {media[position].media_id}: {message}", file=sys.stderr)
+    return 3
 
 
 def cmd_encode(args):
@@ -211,24 +184,22 @@ def cmd_encode(args):
         manifest_path.unlink()
 
     failures, mixed_dims = [], None
-    # a chunk's descriptors live until the next chunk's replace them, so the
-    # heap keeps their pages instead of returning and refaulting them per chunk
-    rows = None
+    paths = (os.path.join(data_dir, m.path) for m in media)
     with Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store:
         # after a failure this run writes nothing; it goes on to list every failure
-        for chunk in _map_chunks(data_dir, media, failures):
-            rows = _check_and_encode(chunk, media, failures, encoding=mixed_dims is None)
+        for _, maps, _ in MapReader().chunks(paths, _chunk_room, failures):
+            # the last chunk's descriptors are freed before this chunk's are
+            # made, whose pooled matrices then reuse their pages
+            rows = None
+            if not (failures or mixed_dims):
+                rows = encode(maps)
             if rows is not None:
                 try:
                     store.write(rows)
                 except ShapeError as exc:
                     mixed_dims = exc
         if failures:
-            print(f"encode: {len(failures)} of {len(media)} media failed, "
-                  f"nothing written:", file=sys.stderr)
-            for _, line in sorted(failures):
-                print(f"  {line}", file=sys.stderr)
-            return 3
+            return _report_failures("encode", failures, media)
         if mixed_dims:
             raise mixed_dims
         store.finish()
@@ -266,22 +237,28 @@ def cmd_finetune(args):
     if not split.train:
         raise DataError(f"split {args.split} has no train templates")
 
-    # stored maps double as training patches after min-max ingestion: each
-    # map is held as read, in float32, with its range, and finetune forms
-    # the float64 patches of a chunk only while that chunk runs
-    maps, subjects = [], []
-    for template in sorted(split.train, key=lambda t: t.template_id):
-        for item in template.media:
-            maps.append(load_feature_map(os.path.join(data_dir, item.path)).values)
-            subjects.append(template.subject_id)
-    patches = RawPatches.ingest(maps)
+    templates = sorted(split.train, key=lambda t: t.template_id)
+    media = [m for t in templates for m in t.media]
+    paths = [os.path.join(data_dir, m.path) for m in media]
+    # stored maps double as training patches after min-max ingestion.  One
+    # pass checks every map and keeps its header and range, not its values;
+    # each chunk that runs reads its maps again, and forms its float64
+    # patches from them only while it runs
+    reader, failures, files, ranges = MapReader(), [], [], []
+    for positions, maps, rectified in reader.chunks(paths, _chunk_room, failures):
+        files += [MapFile(paths[p], maps.shape[1:], r) for p, r in zip(positions, rectified)]
+        ranges += map(ingest_range, maps)
+    if failures:
+        return _report_failures("finetune", failures, media, "train media")
+    subjects = [t.subject_id for t in templates for _ in t.media]
     classes = sorted(set(subjects))
     if len(classes) < 2:
         raise DataError("fine-tuning needs at least 2 train identities")
     labels = [classes.index(s) for s in subjects]
+    patches = MapPatches(files, *np.array(ranges, dtype=np.float64).T, reader)
 
     extractor = init_conv_params(
-        args.kernel_size, maps[0].shape[2], args.out_channels, seed=cfg.seed
+        args.kernel_size, files[0].shape[2], args.out_channels, seed=cfg.seed
     )
     head = init_softmax_head(len(classes), args.out_channels**2, seed=cfg.seed)
     extractor, head, trace = finetune_softmax(
@@ -335,6 +312,7 @@ def cmd_train_gallery(args):
 
 
 def cmd_eval(args):
+    evaluate.check_max_rank(args.max_rank)  # before anything is read or scored
     splits = _read_dataset(args.data, args.check_files)
     summaries = {}
     # the curves beside summary.json are those of its splits, and only those

@@ -135,11 +135,16 @@ class CmcCurve:
     mated_probe_count: int
 
 
+def check_max_rank(max_rank):
+    """Raise ConfigError unless ``max_rank`` lies in 1..MAX_RANK."""
+    if not 1 <= max_rank <= MAX_RANK:
+        raise ConfigError(f"max_rank must be between 1 and {MAX_RANK}, got {max_rank}")
+
+
 def compute_cmc(results, max_rank=100):
     """CMC curve from ProbeRanks or a ProbeResult list, over ranks 1 to
     ``max_rank`` (at most MAX_RANK)."""
-    if not 1 <= max_rank <= MAX_RANK:
-        raise ConfigError(f"max_rank must be between 1 and {MAX_RANK}, got {max_rank}")
+    check_max_rank(max_rank)
     ranks = _ranks_of(results).rank
     if not ranks.size:
         raise ProtocolError("CMC needs at least one mated probe")

@@ -8,12 +8,16 @@ head; both are divided by ``lr_decay_factor`` whenever the validation
 error rate fails to improve by more than MIN_IMPROVEMENT for
 ``patience`` consecutive epochs.
 
-The samples are held as :class:`RawPatches`: raw arrays, such as the
-float32 maps the CLI reads, each with its min-max range; a plain
-sequence of patches is held as itself, at range (0, 1).  No float64
-patch outlives its chunk: a chunk's patches are formed when it runs, in
-one pass over its raw values, with the arithmetic of
-:func:`~bilin.extractor.ingest_patch` and so with its bits.
+The samples are held as :class:`RawPatches`: raw arrays, each with its
+min-max range; a plain sequence of patches is held as itself, at range
+(0, 1).  The CLI holds no values: its :class:`MapPatches` keep each
+train map's path, header and range, and each chunk that runs reads its
+maps again, into one reused float32 stack (see
+:class:`~bilin.io.MapReader`), so peak memory is one chunk's, however
+many maps there are.  No float64 patch outlives its chunk: a chunk's
+patches are formed when it runs, in one pass over its raw values, with
+the arithmetic of :func:`~bilin.extractor.ingest_patch` and so with its
+bits.
 
 Dropout is inverted (activations scaled by 1/(1-rate) while training),
 so evaluation applies the learned weights unchanged and is fully
@@ -157,6 +161,27 @@ class RawPatches:
     def __len__(self):
         return len(self.values)
 
+    def chunk(self, run):
+        """The raw values of the samples ``run``: a sample's own array for
+        one, an ``(n, H, W, C)`` stack for several."""
+        if len(run) == 1:
+            return self.values[run[0]]
+        return np.stack([self.values[i] for i in run])
+
+
+@dataclass
+class MapPatches(RawPatches):
+    """RawPatches whose raw values are the .bfm maps that ``values``, a
+    list of :class:`~bilin.io.MapFile` records, name: each chunk's maps
+    are read again when it runs, into the one reused stack of ``reader``
+    (an :class:`~bilin.io.MapReader`), so no map outlives its chunk."""
+
+    reader: object
+
+    def chunk(self, run):
+        maps = self.reader.reread([self.values[i] for i in run])
+        return maps[0] if len(run) == 1 else maps
+
 
 def _as_raw(patches):
     """``patches`` as RawPatches.  A sequence of patches is its own raw
@@ -169,8 +194,9 @@ def _as_raw(patches):
 
 def _chunks(values, indices, extractor):
     """Runs of consecutive samples that share a patch shape, read from
-    their raw ``values``, and together hold at most STACK_BYTES in each
-    per-sample array (or one sample whose arrays are larger)."""
+    their raw ``values`` (or from the ``shape`` of a MapFile record), and
+    together hold at most STACK_BYTES in each per-sample array (or one
+    sample whose arrays are larger)."""
     run, shape, room = [], None, 0
     for i in indices:
         patch_shape = np.shape(values[i])
@@ -191,11 +217,11 @@ def _forward(patches, run, extractor):
     """Conv input, feature maps and encoding of one chunk, whose float64
     patches are formed here in one pass over its raw values: a single
     patch as itself, several as an (n, H, W, C) stack."""
+    values = patches.chunk(run)
     if len(run) == 1:
         (i,) = run
-        values, lo, span = patches.values[i], patches.lo[i], patches.span[i]
+        lo, span = patches.lo[i], patches.span[i]
     else:
-        values = np.stack([patches.values[i] for i in run])
         lo, span = (a[run].reshape(-1, 1, 1, 1) for a in (patches.lo, patches.span))
     x = scale_patches(values, lo, span)
     fmap = conv_forward(x, extractor)

@@ -29,6 +29,13 @@ an fstat, one readv of the payload and a byte past it), map_faults
 checks the values of a whole (N, H, W, C) stack of maps at once
 (finite, and not negative where rectified), FeatureMap.validate checks
 one map the same way, and load_feature_map reads and validates.
+MapReader reads a chunk of maps into one reused float32 stack, each
+map as read_feature_map reads it, and checks the stack at once: encode
+reads its media so, and so does finetune's first pass over its train
+maps, which keeps each map's MapFile record (path, shape, flag) but not
+its values.  MapReader.reread reads such records again, one readv of
+the header, the payload and a byte past it per map, and rejects a map
+whose header, size or values have changed since.
 
 Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
@@ -46,12 +53,14 @@ positioned read per row, so a caller that walks the columns a block at
 a time never holds the rows whole.
 """
 
+import math
 import os
 import re
 import struct
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +118,11 @@ def map_faults(maps, rectified):
             for ok, neg in zip(finite.tolist(), negative.tolist())]
 
 
+def _header(shape, rectified):
+    """The 20 header bytes of a .bfm map of ``shape`` (H, W, C)."""
+    return BFM_MAGIC + struct.pack("<IIIB3x", *shape, FLAG_RECTIFIED if rectified else 0)
+
+
 def save_feature_map(path, values, rectified=False):
     fmap = values if isinstance(values, FeatureMap) else FeatureMap(
         np.asarray(values), rectified
@@ -119,11 +133,50 @@ def save_feature_map(path, values, rectified=False):
     h, w, c = arr.shape
     if h * w * c > MAX_MAP_ELEMENTS:
         raise BoundsError(f"map of {h}x{w}x{c} exceeds the format limit")
-    flags = FLAG_RECTIFIED if fmap.rectified else 0
     with open(path, "wb") as f:
-        f.write(BFM_MAGIC)
-        f.write(struct.pack("<IIIB3x", h, w, c, flags))
+        f.write(_header(arr.shape, fmap.rectified))
         f.write(arr.tobytes(order="C"))
+
+
+def _named(exc, path):
+    """The OSError ``exc`` naming ``path``, as open() would: os.read and
+    os.readv do not."""
+    return OSError(exc.errno, exc.strerror, os.fspath(path))
+
+
+def _read_header(fd, path):
+    """``((H, W, C), rectified)`` from the header of the open .bfm ``fd``,
+    checked, once an fstat has sized the payload before anything the
+    header declares is allocated."""
+    header = os.read(fd, 20)
+    if len(header) < 20:
+        raise CorruptFileError(f"{path}: truncated header")
+    if header[:4] != BFM_MAGIC:
+        raise FormatError(f"{path}: bad magic {header[:4]!r}")
+    h, w, c, flags = struct.unpack("<IIIB3x", header[4:])
+    if flags & ~FLAG_RECTIFIED:
+        raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
+    if h < 1 or w < 1 or c < 1:
+        raise BoundsError(f"{path}: non-positive dimension {h}x{w}x{c}")
+    n = h * w * c
+    if n > MAX_MAP_ELEMENTS:
+        raise BoundsError(f"{path}: {h}x{w}x{c} exceeds the format limit")
+    size = os.fstat(fd).st_size - 20
+    if size < 4 * n:
+        raise CorruptFileError(f"{path}: header declares {n} floats, payload holds {size // 4}")
+    return (h, w, c), bool(flags & FLAG_RECTIFIED)
+
+
+def _read_payload(fd, path, out):
+    """Read the payload of the open .bfm ``fd``, past its header, into the
+    float32 array ``out``: one readv into ``out`` and a 1-byte buffer,
+    which proves the end of the file."""
+    got = os.readv(fd, [out, bytearray(1)])
+    if got != out.nbytes:  # the file shrank, or holds a byte past the payload
+        raise CorruptFileError(
+            f"{path}: header declares {out.size} floats, payload holds "
+            f"{'more' if got > out.nbytes else got // 4}"
+        )
 
 
 def read_feature_map(path):
@@ -139,37 +192,14 @@ def read_feature_map(path):
     """
     fd = os.open(path, os.O_RDONLY)
     try:
-        header = os.read(fd, 20)
-        if len(header) < 20:
-            raise CorruptFileError(f"{path}: truncated header")
-        if header[:4] != BFM_MAGIC:
-            raise FormatError(f"{path}: bad magic {header[:4]!r}")
-        h, w, c, flags = struct.unpack("<IIIB3x", header[4:])
-        if flags & ~FLAG_RECTIFIED:
-            raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
-        if h < 1 or w < 1 or c < 1:
-            raise BoundsError(f"{path}: non-positive dimension {h}x{w}x{c}")
-        n = h * w * c
-        if n > MAX_MAP_ELEMENTS:
-            raise BoundsError(f"{path}: {h}x{w}x{c} exceeds the format limit")
-        # size the payload before allocating what the header declares
-        size = os.fstat(fd).st_size - 20
-        if size < 4 * n:
-            raise CorruptFileError(
-                f"{path}: header declares {n} floats, payload holds {size // 4}"
-            )
-        values = np.empty((h, w, c), dtype="<f4")
-        got = os.readv(fd, [values, bytearray(1)])
-        if got != 4 * n:  # the file shrank, or holds a byte past the payload
-            raise CorruptFileError(
-                f"{path}: header declares {n} floats, payload holds "
-                f"{'more' if got > 4 * n else got // 4}"
-            )
-    except OSError as exc:  # name the file, as open() would: os.read and os.readv do not
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        shape, rectified = _read_header(fd, path)
+        values = np.empty(shape, dtype="<f4")
+        _read_payload(fd, path, values)
+    except OSError as exc:
+        raise _named(exc, path) from None
     finally:
         os.close(fd)
-    return FeatureMap(values, bool(flags & FLAG_RECTIFIED))
+    return FeatureMap(values, rectified)
 
 
 def load_feature_map(path):
@@ -177,6 +207,106 @@ def load_feature_map(path):
     fmap = read_feature_map(path)
     fmap.validate()
     return fmap
+
+
+class MapFile(NamedTuple):
+    """A .bfm map's path, with the (H, W, C) shape and the flag its header
+    declared when :meth:`MapReader.chunks` read it."""
+
+    path: str
+    shape: tuple
+    rectified: bool
+
+
+class MapReader:
+    """Reads .bfm maps a chunk at a time into one reused float32
+    ``(n, H, W, C)`` stack, grown to the largest chunk, and checks each
+    chunk's values as one stack (see :func:`map_faults`).
+
+    :meth:`chunks` reads maps in order and cuts them into chunks of one
+    shape; :meth:`reread` reads again maps that :meth:`chunks` found
+    sound.  Each gives views of the stack, which the next read overwrites.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0, dtype="<f4")
+
+    def _stack(self, n, shape):
+        size = n * math.prod(shape)
+        if size > self._buffer.size:
+            self._buffer = None  # so the old buffer is freed first
+            self._buffer = np.empty(size, dtype="<f4")
+        return self._buffer[:size].reshape(n, *shape)
+
+    def chunks(self, paths, room, failures):
+        """Read the maps at ``paths`` in order and yield them in chunks of
+        one shape, at most ``room(shape)`` maps each, as ``(positions,
+        maps, rectified)``: the maps' positions in ``paths``, their
+        ``(k, H, W, C)`` stack and their flags.  A map that cannot be read
+        goes to ``failures`` as (position, message) instead; one whose
+        values fail goes there too, and stays in its chunk."""
+        positions, rectified, stack = [], [], None
+        for position, path in enumerate(paths):
+            fd = None
+            try:
+                fd = os.open(path, os.O_RDONLY)
+                shape, flag = _read_header(fd, path)
+                if positions and shape != stack.shape[1:]:
+                    yield self._checked(positions, stack, rectified, failures)
+                    positions, rectified = [], []
+                if not positions:
+                    stack = self._stack(room(shape), shape)
+                _read_payload(fd, path, stack[len(positions)])
+            except FormatError as exc:
+                failures.append((position, str(exc)))
+                continue
+            except OSError as exc:
+                failures.append((position, str(_named(exc, path))))
+                continue
+            finally:
+                if fd is not None:
+                    os.close(fd)
+            positions.append(position)
+            rectified.append(flag)
+            if len(positions) == len(stack):
+                yield self._checked(positions, stack, rectified, failures)
+                positions, rectified = [], []
+        if positions:
+            yield self._checked(positions, stack, rectified, failures)
+
+    @staticmethod
+    def _checked(positions, stack, rectified, failures):
+        maps = stack[:len(positions)]
+        failures += [(position, fault) for position, fault
+                     in zip(positions, map_faults(maps, rectified)) if fault]
+        return positions, maps, rectified
+
+    def reread(self, files):
+        """The maps of ``files``, MapFile records of one shape, read again
+        as an ``(n, H, W, C)`` view of the stack.  Each takes one readv of
+        its header, its payload and a byte past it.  A map whose header,
+        size or values have changed since its record was made is a
+        CorruptFileError naming its file."""
+        shape = files[0].shape
+        stack = self._stack(len(files), shape)
+        expected = {flag: _header(shape, flag) for flag in (False, True)}
+        header, tail, size = bytearray(20), bytearray(1), 20 + stack[0].nbytes
+        for f, slot in zip(files, stack):
+            fd = os.open(f.path, os.O_RDONLY)
+            try:
+                got = os.readv(fd, [header, slot, tail])
+            except OSError as exc:
+                raise _named(exc, f.path) from None
+            finally:
+                os.close(fd)
+            if header != expected[f.rectified]:
+                raise CorruptFileError(f"{f.path}: header changed since the first read")
+            if got != size:
+                raise CorruptFileError(f"{f.path}: payload size changed since the first read")
+        for f, fault in zip(files, map_faults(stack, [f.rectified for f in files])):
+            if fault:
+                raise CorruptFileError(f"{f.path}: changed since the first read: {fault}")
+        return stack
 
 
 def save_gallery(path, gallery):
@@ -349,8 +479,9 @@ class StoreWriter:
         if self._file is None or self._rows != n:
             raise ShapeError(f"a store of {n} rows got {self._rows}")
         self._file.close()
-        self.out.path(MANIFEST_FILE).write_text(
-            "".join(f"{m}\n" for m in ["media_id", *self.media_ids]), encoding="utf-8")
+        with open(self.out.path(MANIFEST_FILE), "w", encoding="utf-8") as f:
+            # a line at a time, not joined into one string first
+            f.writelines(f"{m}\n" for m in ["media_id", *self.media_ids])
 
 
 def _read_store_header(f, path):

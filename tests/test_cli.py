@@ -15,7 +15,7 @@ from conftest import score_matrix_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilin import evaluate, finetune, svm
+from bilin import cli, evaluate, finetune, protocol, svm
 from bilin.cli import ENCODE_CHUNK_BYTES, build_parser, main
 from bilin.encoder import encode
 from bilin.errors import CorruptFileError, FormatError, NumericError
@@ -674,6 +674,52 @@ class TestFinetuneCommand:
         # a float64 patch held per map would add 8 * n bytes
         assert peaks[1] - peaks[0] < extra * (4 * n + 16 + 4096), peaks
 
+    def test_peak_memory_does_not_grow_with_the_train_set(self, tmp_path):
+        peaks, train_maps = [], []
+        for media in (2, 8):  # 8 and 32 train maps of 16x16x64, 64 KiB each
+            data = synth(tmp_path, f"data{media}", [
+                "--templates", "6", "--identities", "5", "--impostor-fraction", "0.2",
+                "--media", str(media), "--map-dims", "16x16x64"])
+            (split,) = read_metadata(data / "metadata.csv")
+            train_maps.append(sum(len(t.media) for t in split.train))
+            tracemalloc.start()
+            try:
+                assert main(["finetune", "--data", str(data), "--out",
+                             str(tmp_path / f"ft{media}"), "--epochs", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra = train_maps[1] - train_maps[0]
+        assert extra == 24
+        # per extra train map only its records (path, header, range, metadata
+        # rows); holding its float32 values would add 64 KiB
+        assert peaks[1] - peaks[0] < extra * 4096, peaks
+
+    def test_lists_every_bad_train_map_in_metadata_order(self, tmp_path, capsys):
+        data = synth(tmp_path, extra=("--templates", "6", "--identities", "5"))
+        (split,) = read_metadata(data / "metadata.csv")
+        train = [m for t in sorted(split.train, key=lambda t: t.template_id) for m in t.media]
+        assert len(train) >= 6
+        # the cut map is found when it is read, before its chunk's values are
+        # checked, so the lines come out of order unless they are sorted
+        nan, cut = train[1], train[5]
+        values = np.ones((6, 6, 4), dtype=np.float32)
+        values[2, 3, 1] = np.nan
+        header = b"BFM1" + struct.pack("<IIIB3x", 6, 6, 4, 0)
+        (data / nan.path).write_bytes(header + values.tobytes())
+        (data / cut.path).write_bytes(header + values.tobytes()[:-4])
+        lines = []
+        for medium in (nan, cut):
+            with pytest.raises((FormatError, NumericError)) as info:
+                load_feature_map(data / medium.path)
+            lines.append(f"  {medium.media_id}: {info.value}")
+        assert "non-finite" in lines[0] and "payload holds 143" in lines[1]
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"finetune: 2 of {len(train)} train media failed, nothing written:", *lines]
+        assert not out.exists()
+
 
 class TestPlot:
     def test_det_chart_marks_each_point(self, tmp_path):
@@ -933,6 +979,20 @@ class TestEdgeValues:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_max_rank_out_of_range_exits_2_before_anything_is_read(self, pipeline, tmp_path,
+                                                                 monkeypatch, capsys):
+        def unread(*args, **kwargs):
+            raise AssertionError("read before --max-rank was checked")
+
+        for module, name in ((protocol, "read_metadata"), (cli, "load_gallery"),
+                             (cli, "StoreReader")):
+            monkeypatch.setattr(module, name, unread)
+        out = tmp_path / "out"
+        assert main([*stage_argv("eval", pipeline, out), "--max-rank", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"max_rank must be between 1 and {evaluate.MAX_RANK}, got 0" in err
+        assert not out.exists()
+
 
 NUMERIC_OPTIONS = [(stage, option) for stage, options in {
     "synth": ["identities", "templates", "media", "map-dims", "impostor-fraction",
@@ -1095,6 +1155,42 @@ class TestFailedRunKeepsPreviousOutputs:
 
         monkeypatch.setattr(np, "save", save_one)
         self.check(tmp_path, previous, argv_for, 3)
+
+    @pytest.mark.parametrize("change, message", [
+        ("reshaped", "header changed since the first read"),
+        ("truncated", "payload size changed since the first read"),
+        ("non-finite", "changed since the first read: feature map contains non-finite values"),
+    ])
+    def test_finetune_with_a_train_map_changed_after_the_first_pass(
+            self, tmp_path, monkeypatch, capsys, change, message):
+        data = synth(tmp_path, extra=("--templates", "6"))
+        (split,) = read_metadata(data / "metadata.csv")
+        medium = max((m for t in split.train for m in t.media), key=lambda m: m.media_id)
+        path = data / medium.path
+        whole = path.read_bytes()
+
+        def argv_for(out):
+            path.write_bytes(whole)  # sound again for each run's first pass
+            return ["finetune", "--data", str(data), "--out", str(out), "--epochs", "2"]
+
+        previous = tmp_path / "previous"
+        assert main(argv_for(previous)) == 0
+        values = load_feature_map(path).values
+        smaller = values[:5, :5].copy()
+        values[0, 0, 0] = np.nan
+        changed = {"reshaped": lambda: save_feature_map(path, smaller),
+                   "truncated": lambda: path.write_bytes(whole[:-4]),
+                   "non-finite": lambda: path.write_bytes(whole[:20] + values.tobytes())}
+        train = cli.finetune_softmax
+
+        def changed_then_trained(*args):  # after the first pass has read every map
+            changed[change]()
+            return train(*args)
+
+        monkeypatch.setattr(cli, "finetune_softmax", changed_then_trained)
+        capsys.readouterr()
+        self.check(tmp_path, previous, argv_for, 3)
+        assert capsys.readouterr().err.count(f"{path}: {message}") == 2
 
     def test_plot_with_a_bad_det(self, pipeline, tmp_path):
         previous = tmp_path / "previous"

@@ -21,6 +21,8 @@ from bilin.io import (
     BFM_MAGIC,
     BGM_MAGIC,
     MAX_MAP_ELEMENTS,
+    MapFile,
+    MapReader,
     Outputs,
     StoreReader,
     StoreWriter,
@@ -198,6 +200,59 @@ def toy_gallery(rng, dim=6, n=3):
         rescale_a=f32(rng.random(n) + 0.5),
         rescale_b=f32(rng.standard_normal(n)),
     )
+
+
+class TestMapReader:
+    """Maps read a chunk at a time into one reused float32 stack."""
+
+    @pytest.fixture
+    def maps(self, tmp_path, rng):
+        shapes = [(3, 3, 2)] * 3 + [(2, 4, 2), (3, 3, 2)]
+        paths = [tmp_path / f"m{i}.bfm" for i in range(len(shapes))]
+        for i, (path, shape) in enumerate(zip(paths, shapes)):
+            save_feature_map(path, rng.random(shape), rectified=i % 2 == 0)
+        return paths, shapes
+
+    def test_chunks_hold_the_bits_read_feature_map_reads(self, maps):
+        paths, _ = maps
+        failures, chunks = [], []
+        for positions, stack, rectified in MapReader().chunks(paths, lambda shape: 2, failures):
+            chunks.append(positions)
+            for position, values, flag in zip(positions, stack, rectified):
+                fmap = read_feature_map(paths[position])
+                assert values.tobytes() == fmap.values.tobytes() and flag == fmap.rectified
+        assert failures == [] and chunks == [[0, 1], [2], [3], [4]]
+
+    def test_a_failed_map_is_listed_and_left_out_of_its_chunk(self, maps):
+        paths, _ = maps
+        paths[0].write_bytes(paths[0].read_bytes()[:-4])
+        paths[1].unlink()
+        values = np.ones((3, 3, 2), dtype="<f4")
+        values[1, 1, 1] = np.inf
+        paths[2].write_bytes(paths[2].read_bytes()[:20] + values.tobytes())
+        failures, chunks = [], []
+        for positions, stack, _ in MapReader().chunks(paths, lambda shape: 2, failures):
+            chunks.append((positions, stack.shape))
+        assert chunks == [([2], (1, 3, 3, 2)), ([3], (1, 2, 4, 2)), ([4], (1, 3, 3, 2))]
+        assert [position for position, _ in failures] == [0, 1, 2]
+        assert "payload holds 17" in failures[0][1]
+        assert failures[1][1] == f"[Errno 2] No such file or directory: {str(paths[1])!r}"
+        assert failures[2][1] == "feature map contains non-finite values"
+
+    def test_reread_reuses_one_stack_and_rejects_a_changed_map(self, maps):
+        paths, shapes = maps
+        files = [MapFile(str(p), s, i % 2 == 0) for i, (p, s) in enumerate(zip(paths, shapes))]
+        reader = MapReader()
+        first = reader.reread(files[:3])
+        assert first.tobytes() == np.stack(
+            [read_feature_map(p).values for p in paths[:3]]).tobytes()
+        assert np.shares_memory(first, reader.reread([files[4]]))
+        save_feature_map(paths[4], np.ones((3, 3, 2)))  # the flag changed
+        with pytest.raises(CorruptFileError, match="header changed since the first read"):
+            reader.reread([files[4]])
+        paths[3].write_bytes(paths[3].read_bytes() + b"\0")
+        with pytest.raises(CorruptFileError, match="payload size changed"):
+            reader.reread([files[3]])
 
 
 class TestGalleryFormat:
