@@ -41,8 +41,8 @@ from .errors import (
 )
 from .extractor import ingest_range, init_conv_params
 from .finetune import MapPatches, TrainConfig, finetune_softmax, init_softmax_head
-from .io import (MANIFEST_FILE, MapFile, MapReader, Outputs, StoreReader, StoreWriter,
-                 load_gallery, save_gallery)
+from .io import (MANIFEST_FILE, MAX_MAP_ELEMENTS, MapFile, MapReader, Outputs, StoreReader,
+                 StoreWriter, load_gallery, save_gallery)
 from .svm import train_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
@@ -257,10 +257,14 @@ def cmd_finetune(args):
     labels = [classes.index(s) for s in subjects]
     patches = MapPatches(files, *np.array(ranges, dtype=np.float64).T, reader)
 
-    extractor = init_conv_params(
-        args.kernel_size, files[0].shape[2], args.out_channels, seed=cfg.seed
-    )
-    head = init_softmax_head(len(classes), args.out_channels**2, seed=cfg.seed)
+    k, c_in, c_out = args.kernel_size, files[0].shape[2], args.out_channels
+    # checked before the kernel and the head, of c_out**2 weights a class, are made
+    if max(c_out * c_out, k * k * c_in * c_out) > MAX_MAP_ELEMENTS:
+        raise ConfigError(f"--kernel-size {k} and --out-channels {c_out}: the head's "
+                          f"{c_out}x{c_out} width or the {k}x{k}x{c_in}x{c_out} kernel "
+                          f"exceeds the .bfm limit of {MAX_MAP_ELEMENTS} values")
+    extractor = init_conv_params(k, c_in, c_out, seed=cfg.seed)
+    head = init_softmax_head(len(classes), c_out * c_out, seed=cfg.seed)
     extractor, head, trace = finetune_softmax(
         extractor, head, patches, labels, cfg
     )

@@ -6,10 +6,27 @@ are produced offline and ingested as ``.bfm`` feature maps instead.
 
 Convolution here means cross-correlation (no kernel flip), the usual
 CNN convention.  Patches are ``(H, W, C)`` arrays with values in
-``[0, 1]`` after ingestion.  Every conv function also takes an
-``(N, H, W, C)`` stack of same-shape patches and then returns one result
-per patch along the leading axis, each bit-identical to the call on that
-patch alone: the per-patch matrix products are the same BLAS calls.
+``[0, 1]`` after ingestion.
+
+Each conv product is one matrix product per patch, with no copy of a
+kernel tap's input window: the kn2row form (Vasudevan, Anderson and
+Gregg, ASAP 2017).  The forward pass multiplies the padded patch's
+``(Hp * Wp, c_in)`` rows by the kernel as one ``(c_in, k * k * c_out)``
+matrix, then adds each tap's strided window of that product in turn.
+The backward pass spreads the gated gradient over the taps once, into a
+zeroed ``(Hp * Wp, k * k * c_out)`` array; the kernel gradient is the
+patch rows' transpose times it, and the patch gradient is it times the
+kernel matrix's transpose.  Every conv function also takes an
+``(N, H, W, C)`` stack of same-shape patches and then returns one
+result per patch along the leading axis, each bit-identical to the call
+on that patch alone: a stack makes the same one product per patch, of
+the same shape, as a single patch.
+
+The cost is memory: the tap products and the spread each hold
+``k * k * c_out`` floats per padded position, about ``k * k`` times the
+feature map.  At ``c_out = 4`` that is 0.21 MB for a 27x27x512 patch;
+at ``c_out = 512`` it is 27 MB each, and fine-tuning on such patches
+peaks about 21 MB higher than with per-tap windows.
 
 The backward pass has two halves over one ReLU-gated upstream gradient:
 the parameter half (kernel and bias gradients) and the input half (the
@@ -20,6 +37,7 @@ and returns both halves.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,9 +82,15 @@ def init_conv_params(kernel_size, c_in, c_out, stride=1, padding=0, seed=0):
 
 
 def conv_output_shape(in_h, in_w, params):
+    """Output spatial size; raises ShapeError unless the stride is a
+    positive int and the padding a non-negative int."""
+    s, p = params.stride, params.padding
+    if not (isinstance(s, Integral) and s >= 1 and isinstance(p, Integral) and p >= 0):
+        raise ShapeError(f"stride must be a positive int and padding a non-negative "
+                         f"int, got stride {s!r}, padding {p!r}")
     k = params.kernel.shape[0]
-    out_h = (in_h + 2 * params.padding - k) // params.stride + 1
-    out_w = (in_w + 2 * params.padding - k) // params.stride + 1
+    out_h = (in_h + 2 * p - k) // s + 1
+    out_w = (in_w + 2 * p - k) // s + 1
     return out_h, out_w
 
 
@@ -98,19 +122,35 @@ def _pad(x, padding):
 
 
 def _taps(params, out_h, out_w):
-    """Each kernel tap (ki, kj) with the strided window of the padded
-    input or stack that it meets, as an index of output size."""
+    """The index of each kernel tap ``ki * k + kj``, over the strided
+    window of output size that it meets, into a ``(..., Hp, Wp, k * k,
+    c_out)`` array of one row per tap at each padded position."""
     k, s = params.kernel.shape[0], params.stride
     for ki in range(k):
         for kj in range(k):
-            yield ki, kj, (..., slice(ki, ki + out_h * s, s), slice(kj, kj + out_w * s, s),
-                           slice(None))
+            yield (..., slice(ki, ki + out_h * s, s), slice(kj, kj + out_w * s, s),
+                   ki * k + kj, slice(None))
+
+
+def _rows(a):
+    """An ``(..., H, W, C)`` array as ``(..., H * W, C)`` rows."""
+    return a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
+
+
+def _flat_kernel(params):
+    """The kernel as one ``(c_in, k * k * c_out)`` matrix, tap by tap."""
+    k, _, c_in, c_out = params.kernel.shape
+    return params.kernel.transpose(2, 0, 1, 3).reshape(c_in, k * k * c_out)
 
 
 def _preactivation(padded, params, out_h, out_w):
-    pre = np.zeros(padded.shape[:-3] + (out_h, out_w, params.kernel.shape[3]))
-    for ki, kj, window in _taps(params, out_h, out_w):
-        pre += padded[window] @ params.kernel[ki, kj]
+    """One product of the padded rows with every tap, then each tap's
+    window of it added in turn."""
+    c_out = params.kernel.shape[3]
+    products = (_rows(padded) @ _flat_kernel(params)).reshape(padded.shape[:-1] + (-1, c_out))
+    pre = np.zeros(padded.shape[:-3] + (out_h, out_w, c_out))
+    for window in _taps(params, out_h, out_w):
+        pre += products[window]
     return pre + params.bias
 
 
@@ -137,26 +177,29 @@ def _check_backward(x, params, g_out):
     return x, g_out
 
 
-def _param_grads(padded, params, g_pre):
-    """Parameter half: kernel and bias gradients from the gated gradient,
-    one pair per patch of a stack."""
-    lead = g_pre.shape[:-3]
-    out_h, out_w, c_out = g_pre.shape[-3:]
-    g_kernel = np.zeros(lead + params.kernel.shape)
-    flat_g = g_pre.reshape(lead + (-1, c_out))
-    for ki, kj, window in _taps(params, out_h, out_w):
-        # one expression, so that each tap's copy of its window is freed
-        # before the next tap's is made
-        g_kernel[..., ki, kj, :, :] = np.matmul(
-            padded[window].reshape(lead + (-1, padded.shape[-1])).swapaxes(-1, -2), flat_g)
+def _spread(padded_shape, params, g_pre):
+    """The gated gradient spread over the taps: ``(..., Hp * Wp, k * k *
+    c_out)`` rows, zero but where tap ``t`` of a padded position meets an
+    output position, which holds that position's gradient."""
+    k, c_out = params.kernel.shape[0], g_pre.shape[-1]
+    spread = np.zeros(padded_shape[:-1] + (k * k, c_out))
+    for window in _taps(params, *g_pre.shape[-3:-1]):
+        spread[window] = g_pre
+    return spread.reshape(padded_shape[:-3] + (-1, k * k * c_out))
+
+
+def _param_grads(padded, params, g_pre, spread):
+    """Parameter half: kernel and bias gradients from the gated gradient
+    and its spread, one pair per patch of a stack."""
+    k, _, c_in, c_out = params.kernel.shape
+    g_flat = np.matmul(_rows(padded).swapaxes(-1, -2), spread)
+    g_kernel = np.moveaxis(g_flat.reshape(g_pre.shape[:-3] + (c_in, k, k, c_out)), -4, -2)
     return g_kernel, g_pre.sum(axis=(-3, -2))
 
 
-def _input_grad(in_shape, padded, params, g_pre):
-    """Input half: the patch gradient from the gated gradient."""
-    g_padded = np.zeros_like(padded)
-    for ki, kj, window in _taps(params, *g_pre.shape[-3:-1]):
-        g_padded[window] += g_pre @ params.kernel[ki, kj].T
+def _input_grad(in_shape, padded, params, spread):
+    """Input half: the patch gradient from the gated gradient's spread."""
+    g_padded = (spread @ _flat_kernel(params).T).reshape(padded.shape)
     p = params.padding
     return g_padded[..., p : p + in_shape[-3], p : p + in_shape[-2], :] if p else g_padded
 
@@ -176,7 +219,9 @@ def conv_param_grads(x, params, fmap, g_out):
             f"feature map shape {fmap.shape} does not match "
             f"output shape {g_out.shape}"
         )
-    return _param_grads(_pad(x, params.padding), params, g_out * (fmap > 0.0))
+    padded = _pad(x, params.padding)
+    g_pre = g_out * (fmap > 0.0)
+    return _param_grads(padded, params, g_pre, _spread(padded.shape, params, g_pre))
 
 
 def conv_backward(x, params, g_out):
@@ -188,8 +233,9 @@ def conv_backward(x, params, g_out):
     x, g_out = _check_backward(x, params, g_out)
     padded = _pad(x, params.padding)
     g_pre = g_out * (_preactivation(padded, params, *g_out.shape[-3:-1]) > 0.0)
-    g_kernel, g_bias = _param_grads(padded, params, g_pre)
-    return _input_grad(x.shape, padded, params, g_pre), g_kernel, g_bias
+    spread = _spread(padded.shape, params, g_pre)
+    g_kernel, g_bias = _param_grads(padded, params, g_pre, spread)
+    return _input_grad(x.shape, padded, params, spread), g_kernel, g_bias
 
 
 def ingest_range(values):

@@ -25,8 +25,8 @@ deterministic.
 
 Samples run in stacked passes.  Each training mini-batch, and each
 clean loss pass, is cut into chunks: runs of consecutive samples with
-one patch shape, as many as keep each stacked array (patches, feature
-maps, descriptors, kernel gradients) within STACK_BYTES.  A chunk goes
+one patch shape, as many as keep each stacked array (patches, conv tap
+products, descriptors, kernel gradients) within STACK_BYTES.  A chunk goes
 through conv, encoding, head and back as one ``(n, H, W, C)`` array; a
 chunk of one patch, which is how a sample with an array larger than half
 the budget always runs, passes the patch itself and makes the calls of a
@@ -44,8 +44,7 @@ import numpy as np
 
 from .encoder import encode_shared
 from .errors import DataError, DivergenceError, ShapeError
-from .extractor import (conv_forward, conv_output_shape, conv_param_grads, ingest_range,
-                        scale_patches)
+from .extractor import conv_forward, conv_param_grads, ingest_range, scale_patches
 
 # Absolute validation-error improvement below this counts as "no change"
 # for the learning-rate schedule.
@@ -54,8 +53,11 @@ MIN_IMPROVEMENT = 1e-4
 # Bytes of one sample's largest array (see _sample_bytes) that one stacked
 # pass may hold.  A chunk holds a few arrays of this size per sample at
 # once, so a larger budget buys fewer Python-level passes with peak
-# memory; a sample larger than half the budget runs alone.
-STACK_BYTES = 1 << 16
+# memory; a sample larger than half the budget runs alone.  For small
+# patches the largest array is the conv's tap products, one row of
+# k * k * c_out per padded position: 1296 floats for a 6x6x16 patch at
+# k = 3 and 4 channels, so that 12 such samples share a pass.
+STACK_BYTES = 1 << 17
 
 
 @dataclass
@@ -127,13 +129,15 @@ def _logits(head, desc):
 
 def _sample_bytes(shape, extractor):
     """Bytes of the largest float64 array that one sample of patch shape
-    ``shape`` adds to a stacked pass: its patch, its feature map (and the
-    map's gradient), its pooled matrix (and descriptor), or its kernel
-    gradient, whichever is largest."""
-    out_h, out_w = conv_output_shape(shape[0], shape[1], extractor)
-    c_out = extractor.kernel.shape[3]
-    return 8 * max(math.prod(shape), out_h * out_w * c_out, c_out * c_out,
-                   extractor.kernel.size)
+    ``shape`` adds to a stacked pass: its patch, its pooled matrix (and
+    descriptor), its kernel gradient, or its conv tap products (and the
+    gradient's spread over the taps), one row of ``k * k * c_out`` per
+    position of the padded patch, which is never smaller than its
+    feature map."""
+    k, _, _, c_out = extractor.kernel.shape
+    pad = 2 * extractor.padding
+    return 8 * max(math.prod(shape), c_out * c_out, extractor.kernel.size,
+                   (shape[0] + pad) * (shape[1] + pad) * k * k * c_out)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately written as plain loops so they share
 no code path with the library: pooling as an explicit per-location
-outer-product sum, convolution as a six-deep loop, and the rank metrics
+outer-product sum, convolution as a six-deep loop (and its gradients as
+loops over output positions and taps), and the rank metrics
 as direct counting over probe results, the metadata reader as one
 ``csv.DictReader`` dict per row.  The fine-tuning oracle runs one
 sample at a time through the public per-map functions, with the
@@ -100,6 +101,37 @@ def conv_oracle(x, params):
                                 params.kernel[ki, kj, ci, co]
                 out[i, j, co] = max(acc, 0.0)
     return out
+
+
+def conv_grad_oracle(x, params, g_out):
+    """Loop gradients of ``(conv_oracle(x, params) * g_out).sum()`` w.r.t.
+    the patch, kernel and bias: each output position's pre-activation is
+    summed tap by tap, and where it is positive its upstream gradient goes
+    back through each tap to the kernel and the padded patch."""
+    k = params.kernel.shape[0]
+    s = params.stride
+    pad = params.padding
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    out_h, out_w, c_out = g_out.shape
+    g_xp = np.zeros_like(xp)
+    g_kernel = np.zeros_like(params.kernel)
+    g_bias = np.zeros(c_out)
+    for i in range(out_h):
+        for j in range(out_w):
+            for co in range(c_out):
+                pre = params.bias[co]
+                for ki in range(k):
+                    for kj in range(k):
+                        pre += xp[i * s + ki, j * s + kj] @ params.kernel[ki, kj, :, co]
+                if pre <= 0.0:
+                    continue
+                g = g_out[i, j, co]
+                g_bias[co] += g
+                for ki in range(k):
+                    for kj in range(k):
+                        g_kernel[ki, kj, :, co] += g * xp[i * s + ki, j * s + kj]
+                        g_xp[i * s + ki, j * s + kj] += g * params.kernel[ki, kj, :, co]
+    return g_xp[pad : pad + x.shape[0], pad : pad + x.shape[1]], g_kernel, g_bias
 
 
 def cmc_oracle(results, max_rank):

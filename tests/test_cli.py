@@ -607,6 +607,42 @@ class TestFinetuneCommand:
                    "--out", str(tmp_path / "ft")])
         assert rc == 2
 
+    # a head width of 16385**2, or a 4097x4097x4x4 kernel, is one value past
+    # the .bfm limit of 2**28; the head would take classes x 2 GiB of float64
+    @pytest.mark.parametrize("flags", [["--out-channels", "16385"],
+                                       ["--kernel-size", "4097"]])
+    def test_model_over_the_format_limit_exits_2_allocating_nothing(
+            self, tmp_path, capsys, monkeypatch, flags):
+        data = synth(tmp_path, extra=("--templates", "6", "--identities", "5",
+                                      "--impostor-fraction", "0.2"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a model past the bound was made")
+
+        monkeypatch.setattr(cli, "init_conv_params", forbidden)
+        monkeypatch.setattr(cli, "init_softmax_head", forbidden)
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flags[1] in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--out-channels", "16384"],
+                                       ["--kernel-size", "4096"]])
+    def test_model_at_the_format_limit_passes_the_bound(self, tmp_path, monkeypatch, flags):
+        data = synth(tmp_path, extra=("--templates", "6", "--identities", "5",
+                                      "--impostor-fraction", "0.2"))
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "init_conv_params", reached)
+        with pytest.raises(Reached):
+            main(["finetune", "--data", str(data), "--out", str(tmp_path / "ft"), *flags])
+
     def test_outputs_equal_finetune_softmax_on_ingested_patches(self, tmp_path,
                                                                 monkeypatch):
         # 32 train maps of 6x6x4, which run many to a chunk

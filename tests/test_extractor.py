@@ -13,7 +13,7 @@ from bilin.extractor import (
     init_conv_params,
 )
 
-from conftest import conv_oracle, make_conv
+from conftest import conv_grad_oracle, conv_oracle, make_conv
 
 
 class TestConvForward:
@@ -75,6 +75,30 @@ class TestConvForward:
         p = ConvParams(np.zeros((2, 2, 3, 1)), np.zeros(1))
         with pytest.raises(ShapeError):
             conv_forward(x, p)
+
+
+class TestGeometryChecks:
+    """A stride that is not a positive int, or a padding that is not a
+    non-negative int, is a ShapeError at every conv entry point."""
+
+    @pytest.mark.parametrize("stride, padding",
+                             [(0, 0), (-1, 0), (1.5, 0), ("2", 0), (1, -1), (1, 0.5)])
+    def test_bad_stride_or_padding_raises(self, rng, stride, padding):
+        x = rng.random((5, 5, 2))
+        p = ConvParams(rng.standard_normal((2, 2, 2, 3)), np.zeros(3), stride, padding)
+        g_out = np.zeros((4, 4, 3))
+        calls = (lambda: conv_forward(x, p),
+                 lambda: conv_param_grads(x, p, g_out, g_out),
+                 lambda: conv_backward(x, p, g_out))
+        for call in calls:
+            with pytest.raises(ShapeError, match="stride must be a positive int"):
+                call()
+
+    def test_numpy_ints_pass(self, rng):
+        x = rng.random((5, 5, 2))
+        p = ConvParams(rng.standard_normal((2, 2, 2, 3)), np.zeros(3),
+                       np.int64(2), np.int32(1))
+        np.testing.assert_allclose(conv_forward(x, p), conv_oracle(x, p), atol=1e-10)
 
 
 class TestConvBackward:
@@ -168,6 +192,34 @@ class TestConvBackward:
             conv_backward(x, p, np.zeros((2, 2, 3)))
 
 
+class TestGradientOracle:
+    """Both backward entry points equal the loop gradients, for one patch
+    and for each patch of a stack."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("c_in, c_out", [(3, 2), (2, 5)])
+    def test_matches_loop_gradients(self, rng, k, stride, padding, c_in, c_out):
+        # a zero-mean bias leaves a mix of live and ReLU-dead positions
+        p = ConvParams(rng.standard_normal((k, k, c_in, c_out)), rng.standard_normal(c_out),
+                       stride, padding)
+        xs = rng.random((3, 6, 5, c_in))
+        g_outs = rng.standard_normal(conv_forward(xs, p).shape)
+        stacked = conv_backward(xs, p, g_outs)
+        stacked_params = conv_param_grads(xs, p, conv_forward(xs, p), g_outs)
+        for i, (x, g_out) in enumerate(zip(xs, g_outs)):
+            g_x, g_k, g_b = conv_grad_oracle(x, p, g_out)
+            single = conv_backward(x, p, g_out)
+            single_params = conv_param_grads(x, p, conv_forward(x, p), g_out)
+            for got in (single, [a[i] for a in stacked]):
+                for actual, expected in zip(got, (g_x, g_k, g_b)):
+                    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
+            for got in (single_params, [a[i] for a in stacked_params]):
+                for actual, expected in zip(got, (g_k, g_b)):
+                    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
+
+
 class TestConvParamGrads:
     """The parameter half alone equals conv_backward's kernel and bias
     gradients bit for bit."""
@@ -233,6 +285,25 @@ class TestStacks:
             assert g_b[i].tobytes() == b_one.tobytes()
             for full, one in zip((g_xs, g_k_full, g_b_full), conv_backward(x, p, g_out[i])):
                 assert full[i].tobytes() == one.tobytes()
+
+    # the benchmark's patches: many small ones to a chunk, and the paper's
+    # 27x27x512 maps
+    @pytest.mark.parametrize("shape", [(14, 6, 6, 16), (2, 27, 27, 512)])
+    def test_bench_shapes_match_per_patch_calls(self, rng, shape):
+        xs = rng.random(shape)
+        p = init_conv_params(3, shape[-1], 4, seed=1)
+        p.bias = rng.normal(0.0, 0.1, 4)
+        fmaps = conv_forward(xs, p)
+        g_out = rng.standard_normal(fmaps.shape)
+        g_k, g_b = conv_param_grads(xs, p, fmaps, g_out)
+        full = conv_backward(xs, p, g_out)
+        for i, x in enumerate(xs):
+            fmap = conv_forward(x, p)
+            assert fmaps[i].tobytes() == fmap.tobytes()
+            for stacked, one in zip((g_k, g_b), conv_param_grads(x, p, fmap, g_out[i])):
+                assert stacked[i].tobytes() == one.tobytes()
+            for stacked, one in zip(full, conv_backward(x, p, g_out[i])):
+                assert stacked[i].tobytes() == one.tobytes()
 
     def test_other_ranks_raise(self, rng):
         p = make_conv(0, k=2, c_in=2, c_out=3)

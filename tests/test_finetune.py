@@ -276,17 +276,32 @@ class TestStackedPassesMatchPerSampleOracle:
         monkeypatch.setattr(finetune, "STACK_BYTES", patches_per_chunk * sample_bytes)
         self.check(patches, labels, TrainConfig(epochs=3, batch_size=8, seed=6))
 
-    def test_many_output_channels_shrink_the_chunks(self, toy):
-        # 64 channels pool to 4096-d descriptors, 57x the 6x6x2 patch bytes
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_many_output_channels_shrink_the_chunks(self, toy, k):
+        # 64 channels pool to 4096-d descriptors, 57x the 6x6x2 patch bytes;
+        # at k = 2 the 36 x 4 x 64 tap products outgrow them
         patches, labels = toy
-        extractor = init_conv_params(2, 2, 64, seed=1)
+        extractor = init_conv_params(k, 2, 64, seed=1)
         head = init_softmax_head(2, 64 * 64, seed=1)
         sample_bytes = finetune._sample_bytes(patches[0].shape, extractor)
-        assert sample_bytes == 8 * 64 * 64 > 8 * patches[0].size
+        assert sample_bytes == 8 * max(64 * 64, 6 * 6 * k * k * 64) > 8 * patches[0].size
         runs = list(finetune._chunks(patches, range(len(patches)), extractor))
         assert max(map(len, runs)) == finetune.STACK_BYTES // sample_bytes
         self.check(patches, labels, TrainConfig(epochs=2, batch_size=8, seed=3),
                    extractor=extractor, head=head)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_chunks_hold_the_tap_products_within_the_budget(self, padding):
+        # for 6x6x2 patches the tap products, a row of 3 * 3 * 4 per padded
+        # position, are the largest per-sample array
+        extractor = init_conv_params(3, 2, 4, padding=padding, seed=1)
+        sample_bytes = finetune._sample_bytes((6, 6, 2), extractor)
+        assert sample_bytes == 8 * (6 + 2 * padding) ** 2 * 3 * 3 * 4
+        patches = [np.zeros((6, 6, 2))] * 40
+        runs = list(finetune._chunks(patches, range(len(patches)), extractor))
+        assert [i for run in runs for i in run] == list(range(len(patches)))
+        for run in runs:
+            assert len(run) * sample_bytes <= finetune.STACK_BYTES
 
     def test_conv_passes_scale_with_chunks_not_samples(self, monkeypatch):
         patches, labels = correlation_task(32)
