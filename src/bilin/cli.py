@@ -2,7 +2,8 @@
 
 Subcommands: synth, encode, finetune, train-gallery, eval, plot.
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numeric
-failure.
+failure.  Running out of memory is a config error (exit 2): the inputs
+or options ask for more than the machine has.
 
 Each option's type and default are declared once, in
 :func:`build_parser`.  Every option but the required paths may also come
@@ -528,6 +529,10 @@ def main(argv=None):
     except (NumericError, DivergenceError, DegenerateModelError) as exc:
         print(f"bilin: numeric failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("bilin: config error: out of memory; use smaller inputs or options",
+              file=sys.stderr)
+        return 2
 
 
 def entrypoint():

@@ -12,6 +12,10 @@ A split's pooled scores form one (templates, identities) matrix, which
 score_templates fills a block of whole templates at a time: the CLI
 streams each block's probe rows from the descriptor store into one
 reused buffer, and evaluate_split stacks them from a media_id dict.
+A block pools all its templates at once, with ``np.maximum.reduceat``
+over their first rows: after one scoring pass over the block (score
+pooling), or before one pass per template (feature pooling).
+identify is the one-template case.
 Three arrays of the matrix give the open-set curves: CMC (recall of the true
 identity within the top r ranks, mated probes only), and DET (false
 positive identification rate of impostors versus false negative
@@ -38,31 +42,6 @@ EVAL_BLOCK_BYTES = 1 << 18
 # The most ranks a CMC curve reports: the curve holds one recall per
 # rank, so a larger max_rank is a ConfigError before it is allocated.
 MAX_RANK = 1 << 20
-
-
-def pool_features(descriptors):
-    """Elementwise maximum of equal-length descriptors.
-
-    Permutation-invariant and idempotent on duplicates; the result is
-    not re-normalized.
-    """
-    if not len(descriptors):
-        raise ProtocolError("cannot pool an empty descriptor list")
-    if isinstance(descriptors, np.ndarray):  # a stack: its rows share a shape
-        return np.maximum.reduce(descriptors)
-    arrs = [np.asarray(d) for d in descriptors]
-    shapes = sorted({a.shape for a in arrs})
-    if len(shapes) > 1:
-        raise ShapeError(f"descriptor shapes differ: {shapes}")
-    return np.maximum.reduce(arrs)
-
-
-def pool_scores(per_media_scores):
-    """Per-identity maximum over a (media, identities) score stack."""
-    scores = np.asarray(per_media_scores)
-    if not len(scores):
-        raise ProtocolError("cannot pool an empty score list")
-    return scores.max(axis=0)
 
 
 @dataclass
@@ -111,19 +90,14 @@ def identify(template, descriptors, gallery, strategy="score"):
     """Pooled scores of one probe template, shape (k,); entry j scores
     ``gallery.identity_ids[j]``.  ``descriptors``, a list or a (media, dim)
     stack, holds one descriptor per medium of ``template``, in order;
-    ``strategy`` is "score" or "feature".
+    ``strategy`` is "score" or "feature".  This is :func:`score_templates`
+    on the one template.
     """
-    if not gallery.identity_ids:
-        raise ProtocolError("gallery model set is empty")
     if len(descriptors) != len(template.media):
         raise ProtocolError(f"template {template.template_id!r} has {len(template.media)} "
                             f"media but {len(descriptors)} descriptors")
-    if strategy == "score":
-        # a stack's rows score with the bits of each row scored alone
-        return pool_scores(gallery.score_vector(descriptors))
-    if strategy == "feature":
-        return gallery.score_vector(pool_features(descriptors))
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
+    stack = np.asarray(descriptors)
+    return score_templates([template], gallery, lambda lo, hi: stack[lo:hi], strategy)[0]
 
 
 @dataclass
@@ -228,23 +202,35 @@ def score_templates(templates, gallery, read, strategy="score"):
     over the media of ``templates`` in order, as one (hi - lo, dim)
     array.  It is called once per block: a run of whole templates whose
     media fit EVAL_BLOCK_BYTES as float32 rows of the gallery's dim, or
-    one template alone when it does not fit.  Each template is identified
-    on its rows of the block, a view, so no template is stacked again.
+    one template alone when it does not fit.  A template with no media
+    is a ProtocolError before anything is read.  Score pooling scores
+    the block in one ``score_vector`` call and takes each template's
+    per-identity max over its rows; feature pooling takes each
+    template's elementwise max over its rows and scores it alone.
     """
-    scores = np.empty((len(templates), len(gallery.identity_ids)))
+    if strategy not in ("score", "feature"):
+        raise ValueError(f"unknown pooling strategy {strategy!r}")
+    if not gallery.identity_ids:
+        raise ProtocolError("gallery model set is empty")
+    sizes = np.array([len(t.media) for t in templates], dtype=np.intp)
+    if not sizes.all():
+        empty = templates[int(np.argmin(sizes))].template_id
+        raise ProtocolError(f"probe template {empty!r} is empty: it has no media")
+    ends = np.cumsum(sizes)  # one past each template's last medium
     per_block = max(1, EVAL_BLOCK_BYTES // (4 * gallery.descriptor_dim))
-    sizes = [len(t.media) for t in templates]
+    scores = np.empty((len(templates), len(gallery.identity_ids)))
     first = lo = 0
     while first < len(templates):
-        last, hi = first + 1, lo + sizes[first]
-        while last < len(templates) and hi + sizes[last] - lo <= per_block:
-            hi += sizes[last]
-            last += 1
-        block, offset = read(lo, hi), 0
-        for i in range(first, last):
-            rows = block[offset:offset + sizes[i]]
-            scores[i] = identify(templates[i], rows, gallery, strategy)
-            offset += sizes[i]
+        last = max(first + 1, int(np.searchsorted(ends, lo + per_block, side="right")))
+        hi = int(ends[last - 1])
+        block = read(lo, hi)
+        starts = ends[first:last] - sizes[first:last] - lo  # each template's first row
+        if strategy == "score":
+            # a stack's rows score with the bits of each row scored alone
+            scores[first:last] = np.maximum.reduceat(gallery.score_vector(block), starts)
+        else:  # one scoring pass per pooled template
+            for i, pooled in enumerate(np.maximum.reduceat(block, starts), start=first):
+                scores[i] = gallery.score_vector(pooled)
         first, lo = last, hi
     return scores
 
@@ -287,7 +273,7 @@ def evaluate_split(split, gallery, descriptors, strategy="score",
         shapes = sorted({r.shape for r in rows})
         if len(shapes) > 1:
             raise ShapeError(f"descriptor shapes differ: {shapes}")
-        return np.stack(rows) if rows else np.empty((0, gallery.descriptor_dim))
+        return np.stack(rows)
 
     scores = score_templates(templates, gallery, read, strategy)
     return (scores, *split_curves(scores, templates, gallery, max_rank, rank1_conditioned))

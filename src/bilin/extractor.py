@@ -25,8 +25,7 @@ the same shape, as a single patch.
 The cost is memory: the tap products and the spread each hold
 ``k * k * c_out`` floats per padded position, about ``k * k`` times the
 feature map.  At ``c_out = 4`` that is 0.21 MB for a 27x27x512 patch;
-at ``c_out = 512`` it is 27 MB each, and fine-tuning on such patches
-peaks about 21 MB higher than with per-tap windows.
+at ``c_out = 512`` it is 27 MB each.
 
 The backward pass has two halves over one ReLU-gated upstream gradient:
 the parameter half (kernel and bias gradients) and the input half (the

@@ -643,6 +643,23 @@ class TestFinetuneCommand:
         with pytest.raises(Reached):
             main(["finetune", "--data", str(data), "--out", str(tmp_path / "ft"), *flags])
 
+    def test_out_of_memory_exits_2_without_a_traceback(self, tmp_path, capsys,
+                                                       monkeypatch):
+        data = synth(tmp_path, extra=("--templates", "6", "--identities", "5",
+                                      "--impostor-fraction", "0.2"))
+
+        def too_large(*args, **kwargs):
+            raise MemoryError  # as a head of classes x 2 GiB would
+
+        monkeypatch.setattr(cli, "init_softmax_head", too_large)
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(out),
+                     "--out-channels", "16384"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bilin:") and "memory" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_outputs_equal_finetune_softmax_on_ingested_patches(self, tmp_path,
                                                                 monkeypatch):
         # 32 train maps of 6x6x4, which run many to a chunk
@@ -898,6 +915,20 @@ class TestEvalBlocks:
                      "--models", str(pipeline.models), "--out", str(tmp_path / "e")]) == 2
         assert "probe descriptor dim 9 != gallery dim 16" in capsys.readouterr().err
         assert reads == []
+
+    def test_gallery_without_models_exits_2_writing_nothing(self, pipeline, tmp_path,
+                                                           monkeypatch, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline.models, models)
+        # a .bgm header of 0 models of the probes' dim, 16
+        (models / "gallery_s01.bgm").write_bytes(b"BGM1" + struct.pack("<II", 0, 16))
+        reads = []
+        monkeypatch.setattr(StoreReader, "read", lambda store, lo, hi: reads.append(lo))
+        out = tmp_path / "e"
+        assert main(["eval", "--data", str(pipeline.data), "--descriptors",
+                     str(pipeline.desc), "--models", str(models), "--out", str(out)]) == 2
+        assert "gallery model set is empty" in capsys.readouterr().err
+        assert reads == [] and not out.exists()
 
 
 def stage_argv(stage, p, out):

@@ -13,8 +13,6 @@ from bilin.evaluate import (
     evaluate_split,
     fnir_at_fpir,
     identify,
-    pool_features,
-    pool_scores,
     rank_scores,
     score_templates,
     write_cmc_csv,
@@ -73,49 +71,6 @@ curve_props = settings(max_examples=200, derandomize=True, database=None,
                        deadline=None)
 
 
-class TestPoolFeatures:
-    def test_elementwise_max(self):
-        out = pool_features([np.array([1.0, 5.0]), np.array([3.0, 2.0])])
-        assert np.array_equal(out, [3.0, 5.0])
-
-    def test_singleton_identity(self, rng):
-        d = rng.standard_normal(6)
-        assert np.array_equal(pool_features([d]), d)
-
-    def test_permutation_invariant_and_idempotent(self, rng):
-        ds = [rng.standard_normal(5) for _ in range(5)]
-        base = pool_features(ds)
-        assert np.array_equal(base, pool_features(ds[::-1]))
-        assert np.array_equal(base, pool_features(ds + [ds[0]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            pool_features([])
-
-    def test_dim_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            pool_features([rng.standard_normal(4), rng.standard_normal(5)])
-
-
-class TestPoolScores:
-    def test_per_identity_max(self):
-        rows = [[0.1, 0.9, 0.0],
-                [0.5, 0.2, 0.3]]
-        assert np.array_equal(pool_scores(rows), [0.5, 0.9, 0.3])
-
-    def test_single_map_unchanged(self):
-        row = [0.4, -0.2]
-        assert np.array_equal(pool_scores([row]), row)
-
-    def test_dominated_medium_absorbed(self):
-        rows = np.array([[0.9, 0.8], [0.1, 0.2]])
-        assert np.array_equal(pool_scores(rows), pool_scores(rows[:1]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            pool_scores([])
-
-
 class TestIdentify:
     def test_single_medium_strategies_agree(self, rng):
         gallery = gallery_from_weights({"a": [1, 0], "b": [0, 1]})
@@ -142,6 +97,23 @@ class TestIdentify:
         row = identify(t, [d1, d2], gallery, "feature")
         # pooled = [0.8, 0.9]
         assert row.tolist() == [0.8, 0.9]
+
+    def test_feature_pooling_ignores_media_order_and_repeats(self, rng):
+        gallery = gallery_from_weights({"a": [1, 0, 2], "b": [0, 1, -1]})
+        ds = [rng.standard_normal(3) for _ in range(5)]
+        base = identify(probe_template("p0", "a", 5), ds, gallery, "feature")
+        assert np.array_equal(identify(probe_template("p0", "a", 5), ds[::-1], gallery,
+                                       "feature"), base)
+        assert np.array_equal(identify(probe_template("p0", "a", 6), ds + [ds[2]], gallery,
+                                       "feature"), base)
+
+    def test_score_pooling_absorbs_a_dominated_medium(self):
+        gallery = gallery_from_weights({"a": [1, 0], "b": [0, 1]})
+        d1, d2 = np.array([0.9, 0.8]), np.array([0.1, 0.2])  # d2 scores lower on both
+        alone = identify(probe_template("p0", "a", 1), [d1], gallery, "score")
+        for media in ([d1, d2], [d2, d1]):
+            row = identify(probe_template("p0", "a", 2), media, gallery, "score")
+            assert np.array_equal(row, alone)
 
     def test_ties_break_by_ascending_identity(self):
         gallery = gallery_from_weights({"zeta": [1, 0], "alpha": [1, 0],
@@ -520,6 +492,42 @@ class TestBlockScoring:
         scores = evaluate_split(split, gallery, descriptors, strategy)[0]
         expected = score_matrix_oracle(templates, gallery, descriptors, strategy)
         assert np.array_equal(scores, expected)
+
+    @pytest.mark.parametrize("rows", sorted(BLOCKS))
+    def test_score_pooling_scores_each_block_once(self, rng, monkeypatch, rows):
+        templates, gallery, descriptors = self.build(rng)
+        monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", rows * 4 * gallery.descriptor_dim)
+        stack = np.stack([descriptors[m.media_id] for t in templates for m in t.media])
+        blocks, scored = [], []
+
+        def read(lo, hi):
+            blocks.append(stack[lo:hi])
+            return blocks[-1]
+
+        score_vector = gallery.score_vector
+
+        def counted(descriptors):
+            scored.append(descriptors)
+            return score_vector(descriptors)
+
+        monkeypatch.setattr(gallery, "score_vector", counted)
+        score_templates(templates, gallery, read, "score")
+        assert len(blocks) == len(self.BLOCKS[rows]) == len(scored)
+        assert all(block is arg for block, arg in zip(blocks, scored))
+
+    @pytest.mark.parametrize("strategy", ["score", "feature"])
+    @pytest.mark.parametrize("empty", [0, 3, len(SIZES) - 1])
+    def test_template_without_media_is_refused_before_a_read(self, rng, monkeypatch,
+                                                             strategy, empty):
+        templates, gallery, _ = self.build(rng)
+        # one block would hold every template
+        monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", 14 * 4 * gallery.descriptor_dim)
+        templates[empty].media = []
+        reads = []
+        with pytest.raises(ProtocolError, match="empty"):
+            score_templates(templates, gallery, lambda lo, hi: reads.append((lo, hi)),
+                            strategy)
+        assert reads == []
 
     @pytest.mark.parametrize("strategy", ["score", "feature"])
     def test_template_without_media_is_a_protocol_error(self, rng, strategy):
