@@ -8,16 +8,14 @@ head; both are divided by ``lr_decay_factor`` whenever the validation
 error rate fails to improve by more than MIN_IMPROVEMENT for
 ``patience`` consecutive epochs.
 
-The samples are held as :class:`RawPatches`: raw arrays, each with its
-min-max range; a plain sequence of patches is held as itself, at range
-(0, 1).  The CLI holds no values: its :class:`MapPatches` keep each
-train map's path, header and range, and each chunk that runs reads its
-maps again, into one reused float32 stack (see
-:class:`~bilin.io.MapReader`), so peak memory is one chunk's, however
-many maps there are.  No float64 patch outlives its chunk: a chunk's
-patches are formed when it runs, in one pass over its raw values, with
-the arithmetic of :func:`~bilin.extractor.ingest_patch` and so with its
-bits.
+The samples are a plain sequence of patches, or :class:`MapPatches`,
+which is how the CLI holds them: each train map's path, header and
+min-max range, but no values.  Each chunk that runs reads its maps
+again, into one reused float32 stack (see :class:`~bilin.io.MapReader`),
+and forms its float64 patches from them in one pass, with the
+arithmetic of :func:`~bilin.extractor.ingest_patch` and so with its
+bits; no map or patch outlives its chunk, so peak memory is one
+chunk's, however many maps there are.
 
 Dropout is inverted (activations scaled by 1/(1-rate) while training),
 so evaluation applies the learned weights unchanged and is fully
@@ -27,14 +25,13 @@ Samples run in stacked passes.  Each training mini-batch, and each
 clean loss pass, is cut into chunks: runs of consecutive samples with
 one patch shape, as many as keep each stacked array (patches, conv tap
 products, descriptors, kernel gradients) within STACK_BYTES.  A chunk goes
-through conv, encoding, head and back as one ``(n, H, W, C)`` array; a
-chunk of one patch, which is how a sample with an array larger than half
-the budget always runs, passes the patch itself and makes the calls of a
-single sample.  Every per-sample result has the
-bits of that sample run alone, the backward pass reuses the forward
-pass's pooled matrix, norm and descriptor, and the gradients and the
-loss are summed in sample order, so the results do not depend on the
-chunking: they are byte-identical to one sample at a time.
+through conv, encoding, head and back as one ``(n, H, W, C)`` array, a
+chunk of one included (a sample with an array larger than half the
+budget always runs alone).  Every per-sample result has the bits of
+that sample run alone, the backward pass reuses the forward pass's
+pooled matrix, norm and descriptor, and the gradients and the loss are
+summed in sample order, so the results do not depend on the chunking:
+they are byte-identical to one sample at a time.
 """
 
 import math
@@ -44,7 +41,7 @@ import numpy as np
 
 from .encoder import encode_shared
 from .errors import DataError, DivergenceError, ShapeError
-from .extractor import conv_forward, conv_param_grads, ingest_range, scale_patches
+from .extractor import conv_forward, conv_param_grads, scale_patches
 
 # Absolute validation-error improvement below this counts as "no change"
 # for the learning-rate schedule.
@@ -141,69 +138,43 @@ def _sample_bytes(shape, extractor):
 
 
 @dataclass
-class RawPatches:
-    """Patches held as raw arrays and ranges: patch ``i`` is
-    ``(values[i] - lo[i]) / span[i]`` in float64, formed only while a
-    chunk that holds it runs.
+class MapPatches:
+    """The patches of the .bfm maps that ``files`` names: patch ``i`` is
+    ``(map_i - lo[i]) / span[i]`` in float64, formed only while a chunk
+    that holds it runs.  Each chunk's maps are read again when it runs,
+    into the one reused stack of ``reader``, so no map outlives its chunk.
 
-    values : sequence of (H, W, C) real arrays, such as float32 maps
-    lo, span : (n,) float64 arrays
+    files : list of :class:`~bilin.io.MapFile` records
+    lo, span : (n,) float64 arrays, the ranges of
+        :func:`~bilin.extractor.ingest_range`, so the patches have the
+        bits of :func:`~bilin.extractor.ingest_patch`
+    reader : :class:`~bilin.io.MapReader`
     """
 
-    values: object
+    files: list
     lo: np.ndarray
     span: np.ndarray
-
-    @classmethod
-    def ingest(cls, maps):
-        """``maps`` with the ranges of :func:`~bilin.extractor.ingest_patch`,
-        whose patches they form bit for bit."""
-        ranges = np.array([ingest_range(m) for m in maps], dtype=np.float64)
-        lo, span = ranges.reshape(-1, 2).T
-        return cls(maps, lo, span)
-
-    def __len__(self):
-        return len(self.values)
-
-    def chunk(self, run):
-        """The raw values of the samples ``run``: a sample's own array for
-        one, an ``(n, H, W, C)`` stack for several."""
-        if len(run) == 1:
-            return self.values[run[0]]
-        return np.stack([self.values[i] for i in run])
-
-
-@dataclass
-class MapPatches(RawPatches):
-    """RawPatches whose raw values are the .bfm maps that ``values``, a
-    list of :class:`~bilin.io.MapFile` records, name: each chunk's maps
-    are read again when it runs, into the one reused stack of ``reader``
-    (an :class:`~bilin.io.MapReader`), so no map outlives its chunk."""
-
     reader: object
 
+    def __len__(self):
+        return len(self.files)
+
     def chunk(self, run):
-        maps = self.reader.reread([self.values[i] for i in run])
-        return maps[0] if len(run) == 1 else maps
+        """The ``(n, H, W, C)`` float64 patches of the samples ``run``."""
+        maps = self.reader.reread([self.files[i] for i in run])
+        lo, span = (a[run].reshape(-1, 1, 1, 1) for a in (self.lo, self.span))
+        return scale_patches(maps, lo, span)
 
 
-def _as_raw(patches):
-    """``patches`` as RawPatches.  A sequence of patches is its own raw
-    values at range (0, 1): ``x - 0.0`` and ``x / 1.0`` keep every bit."""
-    if isinstance(patches, RawPatches):
-        return patches
-    n = len(patches)
-    return RawPatches(patches, np.zeros(n), np.ones(n))
-
-
-def _chunks(values, indices, extractor):
+def _chunks(patches, indices, extractor):
     """Runs of consecutive samples that share a patch shape, read from
-    their raw ``values`` (or from the ``shape`` of a MapFile record), and
-    together hold at most STACK_BYTES in each per-sample array (or one
-    sample whose arrays are larger)."""
+    each patch (or from its MapFile record), and together hold at most
+    STACK_BYTES in each per-sample array (or one sample whose arrays are
+    larger)."""
+    samples = patches.files if isinstance(patches, MapPatches) else patches
     run, shape, room = [], None, 0
     for i in indices:
-        patch_shape = np.shape(values[i])
+        patch_shape = np.shape(samples[i])
         if len(patch_shape) != 3:  # a stack of 2-D patches would pass for one patch
             raise ShapeError(f"patch {i}: expected (H, W, C), got shape {patch_shape}")
         if run and (patch_shape != shape or len(run) == room):
@@ -218,16 +189,13 @@ def _chunks(values, indices, extractor):
 
 
 def _forward(patches, run, extractor):
-    """Conv input, feature maps and encoding of one chunk, whose float64
-    patches are formed here in one pass over its raw values: a single
-    patch as itself, several as an (n, H, W, C) stack."""
-    values = patches.chunk(run)
-    if len(run) == 1:
-        (i,) = run
-        lo, span = patches.lo[i], patches.span[i]
+    """Conv input, feature maps and encoding of one chunk, whose patches
+    are one (n, H, W, C) float64 stack: formed from their maps, or
+    plain patches stacked as they are."""
+    if isinstance(patches, MapPatches):
+        x = patches.chunk(run)
     else:
-        lo, span = (a[run].reshape(-1, 1, 1, 1) for a in (patches.lo, patches.span))
-    x = scale_patches(values, lo, span)
+        x = np.stack([patches[i] for i in run], dtype=np.float64)
     fmap = conv_forward(x, extractor)
     return x, fmap, encode_shared(fmap)
 
@@ -256,11 +224,10 @@ def mean_loss_and_error(patches, labels, extractor, head):
     Raises DataError unless ``labels`` is non-empty, aligned with
     ``patches`` and in ``[0, head.n_classes)``.
     """
-    patches = _as_raw(patches)
     labels = _labels_for(patches, labels, head.n_classes, "evaluated")
     total = 0.0
     wrong = 0
-    for run in _chunks(patches.values, range(len(labels)), extractor):
+    for run in _chunks(patches, range(len(labels)), extractor):
         _, _, enc = _forward(patches, run, extractor)
         logp = _log_softmax(_logits(head, enc.desc.reshape(len(run), -1)))
         y = labels[run]
@@ -305,7 +272,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     ----------
     extractor : ConvParams (updated with lr_lower)
     head : SoftmaxHead (updated with lr_last)
-    patches : sequence of (H, W, C) arrays in [0, 1], or RawPatches
+    patches : sequence of (H, W, C) arrays in [0, 1], or MapPatches
     labels : sequence of ints in [0, head.n_classes)
     cfg : TrainConfig
     val_patches, val_labels : optional held-out set for the
@@ -326,7 +293,6 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     """
     cfg.validate()
     n_classes = head.n_classes
-    patches = _as_raw(patches)
     labels = _labels_for(patches, labels, n_classes, "training")
     counts = np.bincount(labels, minlength=n_classes)
     if np.any(counts == 0):
@@ -334,7 +300,6 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
     if (val_patches is None) != (val_labels is None):
         raise DataError("give both val_patches and val_labels, or neither")
     if val_patches is not None:
-        val_patches = _as_raw(val_patches)
         val_labels = _labels_for(val_patches, val_labels, n_classes, "validation")
 
     extractor = extractor.copy()
@@ -355,7 +320,7 @@ def finetune_softmax(extractor, head, patches, labels, cfg,
             batch = order[start : start + cfg.batch_size]
             grads = [np.zeros_like(a) for a in
                      (head.weights, head.bias, extractor.kernel, extractor.bias)]
-            for run in _chunks(patches.values, batch, extractor):
+            for run in _chunks(patches, batch, extractor):
                 _add_gradients(grads, patches, run, labels[run], extractor, head,
                                cfg, rng, trace)
             g_w, g_b, g_kernel, g_bias = grads

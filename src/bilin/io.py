@@ -6,7 +6,7 @@ Feature map (.bfm), "BFM1", little-endian:
     width   u32
     channels u32
     flags   u8       bit0 = rectified; other bits must be 0
-    reserved 3 bytes zero
+    reserved 3 bytes, must be 0
     payload height*width*channels float32, location-major, channel fastest
 
 Gallery model set (.bgm), "BGM1", little-endian:
@@ -153,9 +153,11 @@ def _read_header(fd, path):
         raise CorruptFileError(f"{path}: truncated header")
     if header[:4] != BFM_MAGIC:
         raise FormatError(f"{path}: bad magic {header[:4]!r}")
-    h, w, c, flags = struct.unpack("<IIIB3x", header[4:])
+    h, w, c, flags, reserved = struct.unpack("<IIIB3s", header[4:])
     if flags & ~FLAG_RECTIFIED:
         raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
+    if any(reserved):
+        raise FormatError(f"{path}: reserved header bytes {reserved.hex(' ')} are not zero")
     if h < 1 or w < 1 or c < 1:
         raise BoundsError(f"{path}: non-positive dimension {h}x{w}x{c}")
     n = h * w * c

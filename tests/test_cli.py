@@ -22,7 +22,7 @@ from bilin.errors import CorruptFileError, FormatError, NumericError
 from bilin.extractor import ingest_patch, init_conv_params
 from bilin.finetune import TrainConfig, finetune_softmax, init_softmax_head
 from bilin.io import (StoreReader, StoreWriter, load_feature_map, load_gallery, load_store,
-                      save_feature_map)
+                      read_feature_map, save_feature_map)
 from bilin.protocol import read_metadata
 
 SYNTH_FLAGS = [
@@ -354,6 +354,21 @@ class TestEncode:
         assert chunks == []  # a failed chunk is not encoded
         assert not (tmp_path / "d").exists()
 
+    def test_nonzero_reserved_bytes_fail_the_map(self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+        media = self.media_of(data)
+        path = data / media[4].path
+        header = bytearray(path.read_bytes())
+        header[18] = 1
+        path.write_bytes(bytes(header))
+        expected = self.expected_failures(data, media, [4])
+        assert "reserved header bytes 00 01 00" in expected[0]
+        chunks = self.record_encode(monkeypatch)
+        assert main(["encode", "--input", str(data), "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"encode: 1 of {len(media)} media failed, nothing written:", *expected]
+        assert not (tmp_path / "d").exists()
+
     def test_chunks_after_a_failure_are_checked_not_encoded(self, tmp_path, capsys,
                                                            monkeypatch):
         data = synth(tmp_path)
@@ -683,7 +698,7 @@ class TestFinetuneCommand:
 
         monkeypatch.setattr(finetune, "scale_patches", recorded)
         assert main(["finetune", "--data", str(data), "--out", str(out), *flags]) == 0
-        assert (40, 40, 4) in formed and max(s[0] for s in formed if len(s) == 4) > 8
+        assert (1, 40, 40, 4) in formed and max(s[0] for s in formed if len(s) == 4) > 8
 
         # the oracle: every map ingested up front into a list of float64 patches
         patches = [ingest_patch(load_feature_map(data / m.path).values) for m in train]
@@ -771,6 +786,34 @@ class TestFinetuneCommand:
         assert main(["finetune", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"finetune: 2 of {len(train)} train media failed, nothing written:", *lines]
+        assert not out.exists()
+
+
+    def test_lists_maps_with_nonzero_reserved_bytes_before_training(self, tmp_path,
+                                                                     capsys, monkeypatch):
+        data = synth(tmp_path, extra=("--templates", "6", "--identities", "5"))
+        (split,) = read_metadata(data / "metadata.csv")
+        train = [m for t in sorted(split.train, key=lambda t: t.template_id) for m in t.media]
+        lines = []
+        for medium in train:
+            path = data / medium.path
+            header = bytearray(path.read_bytes())
+            header[18] = 0xff
+            path.write_bytes(bytes(header))
+            with pytest.raises(FormatError) as info:
+                read_feature_map(path)
+            lines.append(f"  {medium.media_id}: {info.value}")
+        assert all("reserved header bytes 00 ff 00 are not zero" in line for line in lines)
+
+        def untrained(*args):
+            raise AssertionError("finetune trained on maps that failed")
+
+        monkeypatch.setattr("bilin.cli.finetune_softmax", untrained)
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"finetune: {len(train)} of {len(train)} train media failed, nothing written:",
+            *lines]
         assert not out.exists()
 
 

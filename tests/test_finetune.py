@@ -9,14 +9,15 @@ from bilin import finetune
 from bilin.encoder import encode
 from bilin.errors import DataError, DivergenceError, NumericError, ShapeError
 from bilin.extractor import (ConvParams, conv_backward, conv_forward, ingest_patch,
-                             init_conv_params)
+                             ingest_range, init_conv_params)
 from bilin.finetune import (
-    RawPatches,
+    MapPatches,
     TrainConfig,
     finetune_softmax,
     init_softmax_head,
     mean_loss_and_error,
 )
+from bilin.io import MapFile, MapReader, save_feature_map
 
 
 def correlation_task(n_per_class, hw=6, seed=0, gap=0.2):
@@ -324,9 +325,21 @@ class TestStackedPassesMatchPerSampleOracle:
         assert len(passes) <= batches + 2 * chunks
 
 
-class TestRawPatches:
-    """A chunk's patches are formed from raw maps and their ranges in one
-    pass, with the bits of ``ingest_patch``."""
+def map_patches(tmp_path, maps):
+    """MapPatches over ``maps`` saved as .bfm files, with their ranges."""
+    files = []
+    for i, values in enumerate(maps):
+        path = tmp_path / f"m{i}.bfm"
+        save_feature_map(path, values)
+        files.append(MapFile(str(path), values.shape, False))
+    lo, span = np.array([ingest_range(v) for v in maps], dtype=np.float64).T
+    return MapPatches(files, lo, span, MapReader())
+
+
+class TestMapPatches:
+    """A chunk's patches are formed from its maps and their ranges in one
+    pass, with the bits of ``ingest_patch``; plain patches are stacked as
+    they are."""
 
     @pytest.fixture
     def maps(self):
@@ -335,26 +348,49 @@ class TestRawPatches:
         maps[2] = np.full((5, 5, 2), -1.5, np.float32)  # constant: all zeros
         return maps
 
-    def test_formed_chunk_equals_stacked_ingested_patches(self, maps):
-        raw = RawPatches.ingest(maps)
-        x, _, _ = finetune._forward(raw, list(range(len(maps))), fresh_stack()[0])
+    def test_formed_chunk_equals_stacked_ingested_patches(self, tmp_path, maps):
+        patches = map_patches(tmp_path, maps)
+        x, _, _ = finetune._forward(patches, list(range(len(maps))), fresh_stack()[0])
         want = np.stack([ingest_patch(v) for v in maps])
         assert x.dtype == np.float64 and x.tobytes() == want.tobytes()
         assert not x[2].any()
 
-    def test_chunk_of_one_forms_the_patch_itself(self, maps):
-        raw = RawPatches.ingest(maps)
+    def test_chunk_of_one_is_a_stack_of_the_patch(self, tmp_path, maps):
+        patches = map_patches(tmp_path, maps)
         for i in range(len(maps)):
-            x, _, _ = finetune._forward(raw, [i], fresh_stack()[0])
-            assert x.shape == (5, 5, 2) and x.tobytes() == ingest_patch(maps[i]).tobytes()
+            x, _, _ = finetune._forward(patches, [i], fresh_stack()[0])
+            assert x.shape == (1, 5, 5, 2) and x.tobytes() == ingest_patch(maps[i]).tobytes()
 
     def test_plain_patches_keep_their_bits(self, toy):
         patches = [p.copy() for p in toy[0][:5]]
         patches[1][0, 0, 0] = -0.0
         patches[3][2, 1, 1] = 5e-324  # subnormal
-        x, _, _ = finetune._forward(finetune._as_raw(patches), [0, 1, 2, 3, 4],
-                                    fresh_stack()[0])
+        x, _, _ = finetune._forward(patches, [0, 1, 2, 3, 4], fresh_stack()[0])
         assert x.tobytes() == np.stack(patches).tobytes()
+
+    @pytest.mark.parametrize("source", ["plain", "maps"])
+    def test_every_conv_call_is_a_stack(self, tmp_path, monkeypatch, source):
+        extractor, head = fresh_stack()
+        rng = np.random.default_rng(9)
+        # a 24x24x2 patch is past half of STACK_BYTES, so it runs as a chunk of one
+        shapes = [(5, 5, 2)] * 3 + [(24, 24, 2)] + [(5, 5, 2)] * 4
+        assert 2 * finetune._sample_bytes(shapes[3], extractor) > finetune.STACK_BYTES
+        maps = [rng.random(shape).astype(np.float32) for shape in shapes]
+        if source == "plain":
+            patches = [ingest_patch(v) for v in maps]
+        else:
+            patches = map_patches(tmp_path, maps)
+        inputs, forward = [], finetune.conv_forward
+
+        def recorded(x, params):
+            inputs.append(x.shape)
+            return forward(x, params)
+
+        monkeypatch.setattr(finetune, "conv_forward", recorded)
+        finetune_softmax(extractor, head, patches, [0, 1] * 4,
+                         TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert {len(shape) for shape in inputs} == {4}
+        assert (1, 24, 24, 2) in inputs
 
 
 class TestValidation:

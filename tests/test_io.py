@@ -161,6 +161,18 @@ class TestFeatureMapFormat:
         with pytest.raises(FormatError):
             load_feature_map(path)
 
+    @pytest.mark.parametrize("offset", [17, 18, 19])
+    def test_nonzero_reserved_bytes(self, tmp_path, offset):
+        path = tmp_path / "reserved.bfm"
+        write_bfm(path, 1, 1, 1, 0, [0.0])
+        data = bytearray(path.read_bytes())
+        data[offset] = 0x40
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as info:
+            read_feature_map(path)
+        reserved = " ".join("40" if i == offset else "00" for i in (17, 18, 19))
+        assert str(info.value) == f"{path}: reserved header bytes {reserved} are not zero"
+
     def test_zero_dimension_is_bounds_error(self, tmp_path):
         path = tmp_path / "dim.bfm"
         write_bfm(path, 0, 4, 3, 0, [])
