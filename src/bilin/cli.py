@@ -44,7 +44,7 @@ from .extractor import ingest_range, init_conv_params
 from .finetune import MapPatches, TrainConfig, finetune_softmax, init_softmax_head
 from .io import (MANIFEST_FILE, MAX_MAP_ELEMENTS, MapFile, MapReader, Outputs, StoreReader,
                  StoreWriter, load_gallery, save_gallery)
-from .svm import train_ovr_svm
+from .svm import fit_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
 # of their float64 maps or their descriptors, summed, stays within it; a
@@ -301,12 +301,13 @@ def cmd_train_gallery(args):
             templates = sorted(split.gallery, key=lambda t: t.template_id)
             media = [m for t in templates for m in t.media]
             labels = [t.subject_id for t in templates for _ in t.media]
-            # the Gram form reads the store a column block at a time, twice
-            with _open_descriptors(media, args.descriptors, "gallery") as store:
-                gallery = train_ovr_svm(store, labels, reg_c=args.reg_c,
-                                        epochs=args.epochs, balanced=args.balanced)
             name = f"gallery_s{index:02d}.bgm"
-            save_gallery(out.path(name), gallery)
+            # the Gram form reads the store a column block at a time, twice:
+            # to fit, then to form each block of the weights as it is saved
+            with _open_descriptors(media, args.descriptors, "gallery") as store:
+                gallery = fit_ovr_svm(store, labels, reg_c=args.reg_c,
+                                      epochs=args.epochs, balanced=args.balanced)
+                save_gallery(out.path(name), gallery)
             print(f"train-gallery: split {index}: {len(gallery.identity_ids)} models "
                   f"-> {out.out_dir / name}")
         write_run_config(args, out)

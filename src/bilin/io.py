@@ -18,24 +18,30 @@ Gallery model set (.bgm), "BGM1", little-endian:
         w       dim float32
         b, rescale_a, rescale_b   float32 each
 
-Both round-trip bit-exactly.  save_gallery casts and writes w a row at
-a time, so no float32 copy of the whole matrix is made; load_gallery
-reads a .bgm record by record, each model's w and tail straight into
-the arrays that hold them, once the file size covers what the header
-declares.  Reading a .bfm and checking its values are apart:
+Both round-trip bit-exactly.  save_gallery writes the header, the ids
+and the tails first, then w a block of columns at a time, each block's
+rows cast to float32 one at a time and written at their offsets: a
+GalleryModelSet's w is one block, and a GalleryFit forms its weights a
+block at a time as they are written, so the writer copies no whole
+matrix and a GalleryFit never forms one.  load_gallery reads a .bgm
+record by record, each model's w and tail straight into the arrays that
+hold them, once the file size covers what the header declares.  Reading
+a .bfm and checking its values are apart:
 read_feature_map checks the header and the payload size, reading the
 file with three system calls between its open and close (the header,
 an fstat, one readv of the payload and a byte past it), map_faults
 checks the values of a whole (N, H, W, C) stack of maps at once
 (finite, and not negative where rectified), FeatureMap.validate checks
 one map the same way, and load_feature_map reads and validates.
-MapReader reads a chunk of maps into one reused float32 stack, each
-map as read_feature_map reads it, and checks the stack at once: encode
-reads its media so, and so does finetune's first pass over its train
-maps, which keeps each map's MapFile record (path, shape, flag) but not
-its values.  MapReader.reread reads such records again, one readv of
-the header, the payload and a byte past it per map, and rejects a map
-whose header, size or values have changed since.
+MapReader reads a chunk of maps into one reused float32 stack and
+checks the stack at once: encode reads its media so, and so does
+finetune's first pass over its train maps, which keeps each map's
+MapFile record (path, shape, flag) but not its values.  Once a chunk's
+shape is known, each map takes one readv of its header, its slot of the
+stack and a byte past it; a map that does not fit that shape exactly is
+read again as read_feature_map reads it, which names what is wrong.
+MapReader.reread reads such records again, with the same one readv per
+map, and rejects a map whose header, size or values have changed since.
 
 Descriptor store, one per encode run, in one directory:
     descriptors.npy  .npy version 1.0, (n, dim) little-endian float32, C order
@@ -53,6 +59,7 @@ positioned read per row, so a caller that walks the columns a block at
 a time never holds the rows whole.
 """
 
+import functools
 import math
 import os
 import re
@@ -121,6 +128,13 @@ def map_faults(maps, rectified):
 def _header(shape, rectified):
     """The 20 header bytes of a .bfm map of ``shape`` (H, W, C)."""
     return BFM_MAGIC + struct.pack("<IIIB3x", *shape, FLAG_RECTIFIED if rectified else 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _flags(shape):
+    """The flag of each of the two headers of a .bfm map of ``shape``,
+    keyed by its 20 bytes."""
+    return {_header(shape, flag): flag for flag in (False, True)}
 
 
 def save_feature_map(path, values, rectified=False):
@@ -228,10 +242,13 @@ class MapReader:
     :meth:`chunks` reads maps in order and cuts them into chunks of one
     shape; :meth:`reread` reads again maps that :meth:`chunks` found
     sound.  Each gives views of the stack, which the next read overwrites.
+    Both read a map of a known shape with one readv of its header, its
+    slot of the stack and a byte past it (see :meth:`_readv`).
     """
 
     def __init__(self):
         self._buffer = np.empty(0, dtype="<f4")
+        self._head, self._tail = bytearray(20), bytearray(1)
 
     def _stack(self, n, shape):
         size = n * math.prod(shape)
@@ -240,39 +257,70 @@ class MapReader:
             self._buffer = np.empty(size, dtype="<f4")
         return self._buffer[:size].reshape(n, *shape)
 
+    def _readv(self, fd, path, slot):
+        """Read the open map ``fd`` from its start with one readv into the
+        20-byte header buffer, ``slot`` and a byte past it: the flag of its
+        header if that is a header of ``slot``'s shape, else None, and
+        whether the file held exactly the header and the slot."""
+        try:
+            got = os.readv(fd, [self._head, slot, self._tail])
+        except OSError as exc:
+            raise _named(exc, path) from None
+        return _flags(slot.shape).get(bytes(self._head)), got == 20 + slot.nbytes
+
+    def _read(self, path, slot):
+        """``(shape, flag)`` of the map at ``path``, read into ``slot`` if it
+        has ``slot``'s shape; ``(shape, None)``, with nothing read into
+        the slot, if it has another or ``slot`` is None.  A map that does
+        not fill ``slot`` with one readv is read again by the checked
+        path, header, fstat and payload, which names what is wrong."""
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            if slot is not None:
+                flag, whole = self._readv(fd, path, slot)
+                if flag is not None and whole:
+                    return slot.shape, flag
+                os.lseek(fd, 0, os.SEEK_SET)
+            shape, flag = _read_header(fd, path)
+            if slot is None or shape != slot.shape:
+                return shape, None
+            _read_payload(fd, path, slot)
+            return shape, flag
+        finally:
+            os.close(fd)
+
     def chunks(self, paths, room, failures):
         """Read the maps at ``paths`` in order and yield them in chunks of
         one shape, at most ``room(shape)`` maps each, as ``(positions,
         maps, rectified)``: the maps' positions in ``paths``, their
         ``(k, H, W, C)`` stack and their flags.  A map that cannot be read
         goes to ``failures`` as (position, message) instead; one whose
-        values fail goes there too, and stays in its chunk."""
+        values fail goes there too, and stays in its chunk.  No map's
+        file is open while a chunk is yielded."""
         positions, rectified, stack = [], [], None
         for position, path in enumerate(paths):
-            fd = None
-            try:
-                fd = os.open(path, os.O_RDONLY)
-                shape, flag = _read_header(fd, path)
-                if positions and shape != stack.shape[1:]:
+            flag = None
+            while flag is None:  # at most twice: the map starts a new chunk
+                try:
+                    shape, flag = self._read(path, None if stack is None
+                                             else stack[len(positions)])
+                except FormatError as exc:
+                    failures.append((position, str(exc)))
+                    break
+                except OSError as exc:
+                    failures.append((position, str(_named(exc, path))))
+                    break
+                if flag is None:  # the first map of another shape
+                    if positions:
+                        yield self._checked(positions, stack, rectified, failures)
+                        positions, rectified = [], []
+                    stack = self._stack(room(shape), shape)
+            else:
+                positions.append(position)
+                rectified.append(flag)
+                if len(positions) == len(stack):
                     yield self._checked(positions, stack, rectified, failures)
                     positions, rectified = [], []
-                if not positions:
-                    stack = self._stack(room(shape), shape)
-                _read_payload(fd, path, stack[len(positions)])
-            except FormatError as exc:
-                failures.append((position, str(exc)))
-                continue
-            except OSError as exc:
-                failures.append((position, str(_named(exc, path))))
-                continue
-            finally:
-                if fd is not None:
-                    os.close(fd)
-            positions.append(position)
-            rectified.append(flag)
-            if len(positions) == len(stack):
-                yield self._checked(positions, stack, rectified, failures)
-                positions, rectified = [], []
         if positions:
             yield self._checked(positions, stack, rectified, failures)
 
@@ -289,21 +337,16 @@ class MapReader:
         its header, its payload and a byte past it.  A map whose header,
         size or values have changed since its record was made is a
         CorruptFileError naming its file."""
-        shape = files[0].shape
-        stack = self._stack(len(files), shape)
-        expected = {flag: _header(shape, flag) for flag in (False, True)}
-        header, tail, size = bytearray(20), bytearray(1), 20 + stack[0].nbytes
+        stack = self._stack(len(files), files[0].shape)
         for f, slot in zip(files, stack):
             fd = os.open(f.path, os.O_RDONLY)
             try:
-                got = os.readv(fd, [header, slot, tail])
-            except OSError as exc:
-                raise _named(exc, f.path) from None
+                flag, whole = self._readv(fd, f.path, slot)
             finally:
                 os.close(fd)
-            if header != expected[f.rectified]:
+            if flag != f.rectified:
                 raise CorruptFileError(f"{f.path}: header changed since the first read")
-            if got != size:
+            if not whole:
                 raise CorruptFileError(f"{f.path}: payload size changed since the first read")
         for f, fault in zip(files, map_faults(stack, [f.rectified for f in files])):
             if fault:
@@ -312,21 +355,36 @@ class MapReader:
 
 
 def save_gallery(path, gallery):
-    """Write ``gallery`` as a .bgm, casting each row of ``w`` to float32
-    as it is written, so no float32 copy of the whole matrix is made."""
+    """Write ``gallery`` as a .bgm: a :class:`bilin.svm.GalleryModelSet`,
+    whose ``w`` is one block of columns, or a :class:`bilin.svm.GalleryFit`,
+    whose weights come a block of columns at a time.  The header, the ids
+    and the tails are written first, leaving room for each model's ``w``;
+    then each block's rows are cast to float32 a row at a time and
+    written at their offsets.  So the writer copies no whole matrix, and
+    a GalleryFit's (k, dim) weights are never formed at all."""
+    ids = [identity_id.encode("utf-8") for identity_id in gallery.identity_ids]
+    for identity_id, raw in zip(gallery.identity_ids, ids):
+        if len(raw) > 0xFFFF:
+            raise FormatError(f"identity id too long: {identity_id!r}")
+    dim = gallery.descriptor_dim
     tail = np.stack([gallery.b, gallery.rescale_a, gallery.rescale_b],
                     axis=1).astype("<f4")
     with open(path, "wb") as f:
         f.write(BGM_MAGIC)
-        f.write(struct.pack("<II", len(gallery.identity_ids), gallery.descriptor_dim))
-        for identity_id, w_row, tail_row in zip(gallery.identity_ids, gallery.w, tail):
-            raw = identity_id.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise FormatError(f"identity id too long: {identity_id!r}")
+        f.write(struct.pack("<II", len(ids), dim))
+        starts = []  # where each model's w begins
+        for raw, tail_row in zip(ids, tail):
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
-            f.write(w_row.astype("<f4"))
+            starts.append(f.tell())
+            f.seek(4 * dim, os.SEEK_CUR)
             f.write(tail_row)
+        lo = 0
+        for block in gallery.column_blocks():
+            for start, row in zip(starts, block):
+                f.seek(start + 4 * lo)
+                f.write(row.astype("<f4"))
+            lo += block.shape[1]
 
 
 def load_gallery(path):

@@ -22,28 +22,33 @@ matrix, one column per identity, trains them all at once.
 Starting from ``W = 0``, every iterate is a combination of the rows of
 ``X``: ``W_t = A_t X`` with ``A`` of shape (k, n) (the representer
 argument of kernelised Pegasos).  So when a gallery has fewer media than
-descriptor dims (``n < dim``, as always at the paper's 262144-d),
-``train_ovr_svm`` runs the same recurrence on ``A`` through the (n, n)
-Gram matrix ``G = X X^T``: margins ``(G A^T + b) * Y``, step ``A <- (1 -
-1/t) A + coef^T / (n lambda t)``, O(n^2 k) per epoch instead of
-O(n dim k).  ``G`` is accumulated and ``W = A X`` formed once, both over
-column blocks of ``X`` cast to float64 one at a time, so no float64 copy
-of the float32 store is made.  The blocks come from an array, or
-straight from a descriptor store (``bilin.io.StoreReader.columns``), so
-training from a store holds no copy of ``X`` at all.  With ``n >= dim``
-the primal loop runs on ``X`` read as one block; the two agree to
-float64 rounding.
+descriptor dims (``n < dim``, as always at the paper's 262144-d), the
+fit runs the same recurrence on ``A`` through the (n, n) Gram matrix
+``G = X X^T``: margins ``(G A^T + b) * Y``, step ``A <- (1 - 1/t) A +
+coef^T / (n lambda t)``, O(n^2 k) per epoch instead of O(n dim k).
+``G`` is accumulated over column blocks of ``X`` cast to float64 one at
+a time, so no float64 copy of the float32 store is made, and ``W = A X``
+is never formed whole: :func:`fit_ovr_svm` returns a :class:`GalleryFit`
+whose weights come a column block ``A X[:, lo:hi]`` at a time, read
+again from the same source, for ``bilin.io.save_gallery`` to write as
+they come.  The blocks come from an array, or straight from a
+descriptor store (``bilin.io.StoreReader.columns``), so training from a
+store holds no copy of ``X`` at all.  :func:`train_ovr_svm` fills one
+float64 ``W`` from the same blocks.  With ``n >= dim`` the primal loop
+runs on ``X`` read as one block, and its ``W`` is the one block; the two
+agree to float64 rounding.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, ProtocolError, ShapeError
 
-# Columns of X read and cast to float64 at a time by the Gram form:
-# narrow enough that a float64 block is small beside the (k, dim)
-# weights, wide enough that each block's GEMM outweighs its Python and
+# Columns of X read and cast to float64 at a time by the Gram form, and
+# columns of W formed from each: narrow enough that both blocks stay
+# small, wide enough that each block's GEMM outweighs its Python and
 # read overhead.
 GRAM_BLOCK = 4096
 
@@ -99,6 +104,30 @@ class GalleryModelSet:
         dots = np.matmul(x[..., None, :], self.w.T)[..., 0, :]
         return self.rescale_a * (dots + self.b) + self.rescale_b
 
+    def column_blocks(self):
+        """``w`` as one block of columns (see :class:`GalleryFit`)."""
+        return iter((self.w,))
+
+
+@dataclass
+class GalleryFit:
+    """A trained gallery whose weights come a block of columns at a time.
+
+    ``identity_ids``, ``b``, ``rescale_a`` and ``rescale_b`` are those of
+    the :class:`GalleryModelSet` it makes.  ``column_blocks()`` yields the
+    (k, descriptor_dim) float64 weights as (k, width) blocks of
+    consecutive columns, in order; a fit of the Gram form forms each one
+    from its descriptors as it is asked for, so a store it was trained
+    from must still be open.
+    """
+
+    identity_ids: list
+    b: np.ndarray
+    rescale_a: np.ndarray
+    rescale_b: np.ndarray
+    descriptor_dim: int
+    column_blocks: Callable
+
 
 def _subgradient_descent(X, Y, weighted, reg_c, epochs):
     """``(W, b)`` of one binary model per column of the +-1 labels ``Y``;
@@ -123,12 +152,12 @@ def _subgradient_descent(X, Y, weighted, reg_c, epochs):
 
 
 def _gram_descent(columns, dim, Y, weighted, reg_c, epochs):
-    """``(W, b, scores)`` of the same iterates as :func:`_subgradient_descent`,
+    """``(A, b, scores)`` of the same iterates as :func:`_subgradient_descent`,
     run on the coefficients ``A`` of ``W = A X`` through ``G = X X^T``;
     ``scores`` are the final ``X W^T + b``.  ``columns(lo, hi)`` gives the
     (n, hi - lo) block ``X[:, lo:hi]``, ``hi`` clipped at ``dim``, which may
     be float32: only one block of GRAM_BLOCK columns is cast to float64 at
-    a time."""
+    a time.  ``W = A X`` itself is left to the caller."""
     n, k = Y.shape
     lam = 1.0 / (reg_c * n)
     G = np.zeros((n, n))
@@ -146,10 +175,41 @@ def _gram_descent(columns, dim, Y, weighted, reg_c, epochs):
         b -= (lam * b - coef.sum(axis=0) / n) / (lam * t)
     scores = G @ A.T
     scores += b
-    W = np.empty((k, dim))
-    for start in range(0, dim, GRAM_BLOCK):
-        W[:, start:start + GRAM_BLOCK] = A @ columns(start, start + GRAM_BLOCK).astype(np.float64)
-    return W, b, scores
+    return A, b, scores
+
+
+def _column_medians(scores, mask):
+    """``np.median`` of the entries of each column of the (n, k) ``scores``
+    that ``mask`` selects, bit for bit: the middle order statistic, or the
+    mean of the two middle ones, NaN if any entry is NaN.  Each column is
+    sorted with its other entries set to +inf, so that the selected ones
+    come first (a NaN comes last)."""
+    count = mask.sum(axis=0)
+    ordered = np.where(mask.T, scores.T, np.inf)  # a row per column
+    ordered.sort(axis=1)
+    rows = np.arange(len(count))
+    # np.mean of the middle one or two, a sum that starts from 0.0
+    low, high = 0.0 + ordered[rows, (count - 1) // 2], ordered[rows, count // 2]
+    middle = np.where(count % 2 == 1, low, (low + high) / 2)
+    return np.where(np.isnan(ordered[:, -1]), np.nan, middle)
+
+
+def _rescales(scores, positive, identity_ids):
+    """``(rescale_a, rescale_b)`` of the models of the columns of the (n, k)
+    training ``scores``, whose positives ``positive`` marks (see
+    :func:`rescale_model`); the first identity, in column order, whose
+    median positive does not exceed its median negative is a
+    DegenerateModelError."""
+    med_pos, med_neg = _column_medians(scores, positive), _column_medians(scores, ~positive)
+    degenerate = np.flatnonzero(med_pos <= med_neg)
+    if degenerate.size:
+        j = degenerate[0]
+        raise DegenerateModelError(
+            f"median positive score {float(med_pos[j]):g} does not exceed "
+            f"median negative {float(med_neg[j]):g} for {identity_ids[j]!r}"
+        )
+    a = 2.0 / (med_pos - med_neg)
+    return a, 1.0 - a * med_pos
 
 
 def rescale_model(model, pos_scores, neg_scores):
@@ -160,41 +220,20 @@ def rescale_model(model, pos_scores, neg_scores):
     Requires ``median(pos) > median(neg)`` so that ``a > 0`` and score
     order is preserved.  The returned model shares ``model.w``.
     """
-    pos_scores = np.asarray(pos_scores, dtype=np.float64)
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
+    pos_scores = np.asarray(pos_scores, dtype=np.float64).ravel()
+    neg_scores = np.asarray(neg_scores, dtype=np.float64).ravel()
     if pos_scores.size == 0 or neg_scores.size == 0:
         raise ValueError("both score lists must be non-empty")
-    med_pos = float(np.median(pos_scores))
-    med_neg = float(np.median(neg_scores))
-    if med_pos <= med_neg:
-        raise DegenerateModelError(
-            f"median positive score {med_pos:g} does not exceed "
-            f"median negative {med_neg:g} for {model.identity_id!r}"
-        )
-    a = 2.0 / (med_pos - med_neg)
-    return replace(model, rescale_a=a, rescale_b=1.0 - a * med_pos)
+    scores = np.concatenate([pos_scores, neg_scores])[:, None]
+    positive = np.arange(len(scores))[:, None] < pos_scores.size
+    (a,), (b,) = _rescales(scores, positive, [model.identity_id])
+    return replace(model, rescale_a=float(a), rescale_b=float(b))
 
 
-def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
-    """Train one-vs-rest linear models on a labeled descriptor set.
-
-    Parameters
-    ----------
-    descriptors : (n, dim) array, or a reader of one with ``shape`` and
-        ``columns(lo, hi)`` (such as :class:`bilin.io.StoreReader`); the
-        Gram form reads a reader's columns a block at a time and never
-        holds them whole
-    labels : sequence of n identity-id strings (>= 2 distinct)
-    reg_c : hinge penalty C, finite and > 0
-    epochs : full-batch subgradient steps (>= 1), shared by all identities
-    balanced : weight each positive by n_neg / n_pos to counter the
-        one-vs-rest imbalance (off by default)
-
-    Returns
-    -------
-    GalleryModelSet with one rescaled model per identity, ordered by
-    ascending identity id.
-    """
+def fit_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
+    """The :class:`GalleryFit` of :func:`train_ovr_svm`'s models, whose
+    weights are formed a column block at a time when asked for; the
+    parameters are :func:`train_ovr_svm`'s."""
     if not (np.isfinite(reg_c) and reg_c > 0) or epochs < 1:
         raise ConfigError(f"reg_c must be finite and > 0 and epochs >= 1, "
                           f"got reg_c={reg_c}, epochs={epochs}")
@@ -220,14 +259,43 @@ def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
         n_pos = positive.sum(axis=0)
         weighted = np.where(positive, (len(labels) - n_pos) / n_pos, -1.0)
     if n < dim:
-        W, b, scores = _gram_descent(columns, dim, Y, weighted, reg_c, epochs)
+        A, b, scores = _gram_descent(columns, dim, Y, weighted, reg_c, epochs)
+        # W = A X, each block A @ X[:, lo:hi] formed as it is asked for
+        column_blocks = lambda: (A @ columns(lo, lo + GRAM_BLOCK).astype(np.float64)
+                                 for lo in range(0, dim, GRAM_BLOCK))
     else:
         X = columns(0, dim).astype(np.float64, copy=False)
         W, b = _subgradient_descent(X, Y, weighted, reg_c, epochs)
         scores = X @ W.T
         scores += b
-    rescaled = [rescale_model(LinearModel(ident, W[j], b[j]), scores[positive[:, j], j],
-                              scores[~positive[:, j], j])
-                for j, ident in enumerate(identities)]
-    return GalleryModelSet(identities, W, b, np.array([m.rescale_a for m in rescaled]),
-                           np.array([m.rescale_b for m in rescaled]))
+        column_blocks = lambda: iter((W,))
+    rescale_a, rescale_b = _rescales(scores, positive, identities)
+    return GalleryFit(identities, b, rescale_a, rescale_b, dim, column_blocks)
+
+
+def train_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
+    """Train one-vs-rest linear models on a labeled descriptor set.
+
+    Parameters
+    ----------
+    descriptors : (n, dim) array, or a reader of one with ``shape`` and
+        ``columns(lo, hi)`` (such as :class:`bilin.io.StoreReader`); the
+        Gram form reads a reader's columns a block at a time and never
+        holds them whole
+    labels : sequence of n identity-id strings (>= 2 distinct)
+    reg_c : hinge penalty C, finite and > 0
+    epochs : full-batch subgradient steps (>= 1), shared by all identities
+    balanced : weight each positive by n_neg / n_pos to counter the
+        one-vs-rest imbalance (off by default)
+
+    Returns
+    -------
+    GalleryModelSet with one rescaled model per identity, ordered by
+    ascending identity id.
+    """
+    fit = fit_ovr_svm(descriptors, labels, reg_c, epochs, balanced)
+    w, lo = np.empty((len(fit.identity_ids), fit.descriptor_dim)), 0
+    for block in fit.column_blocks():
+        w[:, lo:lo + block.shape[1]] = block
+        lo += block.shape[1]
+    return GalleryModelSet(fit.identity_ids, w, fit.b, fit.rescale_a, fit.rescale_b)

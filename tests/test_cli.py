@@ -1238,6 +1238,46 @@ class TestFailedRunKeepsPreviousOutputs:
         err = capsys.readouterr().err
         assert err.count(f"row {rows[medium]} ({medium}) is short or non-finite") == 2
 
+    # the Gram form reads the store twice, 3 blocks of 6, 6 and 4 columns each
+    # time; the row goes bad after the first pass, so in the save
+    @pytest.mark.parametrize("fault", ["non-finite", "short"])
+    def test_train_gallery_with_a_row_gone_bad_between_the_gram_passes(
+            self, tmp_path, monkeypatch, capsys, fault):
+        run_pipeline(tmp_path, "late", synth_extra=("--map-dims", "6x6x4"))
+        data, desc = tmp_path / "data_late", tmp_path / "desc_late"
+        rows = {m: i for i, m in enumerate((desc / "manifest.csv").read_text().split()[1:])}
+        (split,) = read_metadata(data / "metadata.csv")
+        medium = max((m.media_id for t in split.gallery for m in t.media), key=rows.get)
+        store = desc / "descriptors.npy"
+        whole, dim = store.read_bytes(), np.load(store).shape[1]
+        end = len(whole) - 4 * dim * (len(rows) - 1 - rows[medium])  # where its row ends
+        monkeypatch.setattr(svm, "GRAM_BLOCK", 6)
+        columns, blocks = StoreReader.columns, []
+
+        def late(reader, lo, hi):
+            blocks.append(lo)
+            if len(blocks) == 4:  # the second pass begins
+                if fault == "short":
+                    os.truncate(store, end - 3)
+                else:  # in its last column, so in the last block
+                    with open(store, "r+b") as f:
+                        f.seek(end - 4)
+                        f.write(struct.pack("<f", np.inf))
+            return columns(reader, lo, hi)
+
+        monkeypatch.setattr(StoreReader, "columns", late)
+
+        def argv_for(out):
+            store.write_bytes(whole)  # whole again for each run to open
+            blocks.clear()
+            return ["train-gallery", "--data", str(data), "--descriptors", str(desc),
+                    "--out", str(out)]
+
+        self.check(tmp_path, tmp_path / "models_late", argv_for, 3)
+        assert blocks == [0, 6, 12, 0, 6, 12]
+        err = capsys.readouterr().err
+        assert err.count(f"row {rows[medium]} ({medium}) is short or non-finite") == 2
+
     def test_train_gallery_with_split_2_descriptors_gone(self, pipeline, tmp_path):
         desc = tmp_path / "desc"
         shutil.copytree(pipeline.desc, desc)

@@ -266,6 +266,51 @@ class TestMapReader:
         with pytest.raises(CorruptFileError, match="payload size changed"):
             reader.reread([files[3]])
 
+    def test_a_map_of_the_chunks_shape_takes_one_readv(self, maps, monkeypatch):
+        paths, _ = maps  # shapes A A A B A
+        calls, open_at_yield = [], []
+        for name in ("open", "close", "read", "readv", "lseek", "fstat"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda *a, _name=name, _real=real:
+                                calls.append(_name) or _real(*a))
+        chunks = []
+        for positions, stack, _ in MapReader().chunks(paths, lambda shape: 2, []):
+            open_at_yield.append(calls.count("open") - calls.count("close"))
+            chunks.append((positions, stack.copy()))
+        monkeypatch.undo()
+        checked = ["open", "read", "fstat", "close"]  # header, then sized
+        one = ["open", "readv", "close"]  # header, slot and a byte past it
+        # a map of another shape than the chunk's goes on by the checked path
+        retry = ["open", "readv", "lseek", "read", "fstat", "close"]
+        assert calls == checked + one + one + one + retry + one + retry + one
+        assert open_at_yield == [0, 0, 0, 0]
+        assert [positions for positions, _ in chunks] == [[0, 1], [2], [3], [4]]
+        for positions, stack in chunks:
+            assert stack.tobytes() == np.stack(
+                [read_feature_map(paths[p]).values for p in positions]).tobytes()
+
+    @pytest.mark.parametrize("damage", ["empty", "short-header", "short-payload", "long-payload",
+                                        "bad-magic", "flag-bits", "reserved", "directory"])
+    def test_a_bad_map_after_its_chunks_first_fails_as_read_alone(self, maps, damage):
+        paths, _ = maps
+        whole = paths[1].read_bytes()
+        if damage == "directory":
+            paths[1].unlink()
+            paths[1].mkdir()
+        else:
+            paths[1].write_bytes({
+                "empty": b"", "short-header": whole[:10], "short-payload": whole[:-4],
+                "long-payload": whole + b"\0", "bad-magic": b"XFM1" + whole[4:],
+                "flag-bits": whole[:16] + b"\x02" + whole[17:],
+                "reserved": whole[:18] + b"\x01" + whole[19:]}[damage])
+        with pytest.raises((FormatError, OSError)) as alone:
+            read_feature_map(paths[1])
+        failures = []
+        chunks = [positions for positions, _, _ in
+                  MapReader().chunks(paths, lambda shape: 3, failures)]
+        assert failures == [(1, str(alone.value))]
+        assert chunks == [[0, 2], [3], [4]]
+
 
 class TestGalleryFormat:
     def test_round_trip_values(self, tmp_path, rng):

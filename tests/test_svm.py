@@ -5,8 +5,9 @@ import pytest
 
 from bilin import svm
 from bilin.errors import DegenerateModelError, ProtocolError, ShapeError
-from bilin.io import Outputs, StoreReader, StoreWriter, load_store
-from bilin.svm import GalleryModelSet, LinearModel, rescale_model, train_ovr_svm
+from bilin.io import Outputs, StoreReader, StoreWriter, load_store, save_gallery
+from bilin.svm import (GalleryModelSet, LinearModel, fit_ovr_svm, rescale_model,
+                       train_ovr_svm)
 
 from conftest import hinge_objective
 
@@ -144,6 +145,47 @@ class TestRescaleModel:
             before = raw.score_vector(d1) - raw.score_vector(d2)
             after = rescaled.score_vector(d1) - rescaled.score_vector(d2)
             assert np.sign(before) == np.sign(after)
+
+
+class TestRescaleAtOnce:
+    """Every identity's medians and rescale from the (n, k) score matrix."""
+
+    def test_medians_are_the_bits_of_np_median(self, rng):
+        for trial in range(400):
+            n, k = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+            scores = rng.normal(size=(n, k))
+            if trial % 2:  # ties, and zeros of both signs
+                scores = np.round(scores, 1) * rng.choice([-1.0, 1.0], (n, k))
+            if trial % 5 == 0:
+                scores[rng.integers(n), rng.integers(k)] = np.nan
+            mask = rng.random((n, k)) < rng.random()
+            mask[0], mask[-1] = True, False  # each column selects some, not all
+            for selected in (mask, ~mask):
+                with np.errstate(invalid="ignore"):
+                    expected = [np.median(scores[selected[:, j], j]) for j in range(k)]
+                got = svm._column_medians(scores, selected)
+                assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_rescales_are_the_bits_of_the_median_formula(self, rng):
+        labels = rng.integers(0, 6, 50)
+        positive = labels[:, None] == np.arange(6)
+        scores = rng.normal(size=(50, 6)) + 2.0 * positive
+        a, b = svm._rescales(scores, positive, [f"id{j}" for j in range(6)])
+        for j in range(6):
+            med_pos = float(np.median(scores[positive[:, j], j]))
+            med_neg = float(np.median(scores[~positive[:, j], j]))
+            expected = 2.0 / (med_pos - med_neg)
+            assert (a[j], b[j]) == (expected, 1.0 - expected * med_pos)
+
+    def test_the_first_degenerate_identity_is_named(self):
+        positive = np.eye(4, 3, dtype=bool) | np.eye(4, 3, -1, dtype=bool)
+        scores = np.where(positive, 1.0, 0.0)
+        scores[:, 1:] = [[3.0, 3.0], [0.5, 3.0], [0.5, 1.0], [3.0, 0.5]]  # ids b and c
+        with pytest.raises(DegenerateModelError) as info:
+            svm._rescales(scores, positive, ["a", "b", "c"])
+        with pytest.raises(DegenerateModelError) as alone:
+            rescale_model(LinearModel("b", np.ones(1), 0.0), [0.5, 0.5], [3.0, 3.0])
+        assert str(info.value) == str(alone.value)
 
 
 class TestScore:
@@ -318,6 +360,36 @@ class TestStoreFedTraining:
             tracemalloc.stop()
         assert gallery.w.shape == (4, dim)
         assert peak < 4 * n * dim  # the size of one float32 copy of X
+
+    @pytest.mark.parametrize("dim", [150, 20], ids=["gram", "primal"])
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_streamed_gallery_has_the_bytes_of_the_trained_one(self, tmp_path, rng,
+                                                               monkeypatch, dim, balanced):
+        ids = store_of(tmp_path, rng.standard_normal((20, dim)))
+        order = ids[5:] + ids[:5]
+        labels = [f"id{i % 3}" for i in range(len(order))]
+        monkeypatch.setattr(svm, "GRAM_BLOCK", 64)  # at dim 150: blocks of 64, 64 and 22
+        kwargs = dict(reg_c=0.5, epochs=30, balanced=balanced)
+        with StoreReader(tmp_path, order) as store:
+            save_gallery(tmp_path / "streamed.bgm", fit_ovr_svm(store, labels, **kwargs))
+        save_gallery(tmp_path / "whole.bgm",
+                     train_ovr_svm(load_store(tmp_path, order), labels, **kwargs))
+        streamed = (tmp_path / "streamed.bgm").read_bytes()
+        assert streamed == (tmp_path / "whole.bgm").read_bytes()
+        assert len(streamed) == 12 + 3 * (2 + 3 + 4 * dim + 12)
+
+    def test_streamed_save_holds_no_weight_matrix(self, tmp_path, rng):
+        n, dim, k = 12, 100000, 4
+        ids = store_of(tmp_path, rng.standard_normal((n, dim)))
+        labels = [f"id{i % k}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            with StoreReader(tmp_path, ids) as store:
+                save_gallery(tmp_path / "g.bgm", fit_ovr_svm(store, labels, epochs=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * dim * 8 / 2  # half the float64 weights
 
 
 class TestGalleryModelSet:
