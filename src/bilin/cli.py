@@ -23,12 +23,13 @@ import json
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, protocol, svg
-from .encoder import encode
+from .encoder import normalize_rows, pool_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -47,10 +48,12 @@ from .io import (MANIFEST_FILE, MAX_MAP_ELEMENTS, MapFile, MapReader, Outputs, S
 from .svm import fit_ovr_svm
 
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
-# of their float64 maps or their descriptors, summed, stays within it; a
-# map larger than the budget runs alone.  A larger budget buys fewer
-# stacked passes with peak memory.  Finetune's first pass over its train
-# maps reads them in the same chunks.
+# of their float64 maps or their pooled matrices, summed, stays within it;
+# a map larger than the budget runs alone.  Encode holds one chunk of
+# maps, in float32 as read and in float64, and two of pooled matrices
+# (see cmd_encode), so a larger budget buys fewer stacked passes with a
+# few times its size in peak memory.  Finetune's first pass over its
+# train maps reads them in the same chunks.
 ENCODE_CHUNK_BYTES = 1 << 18
 
 
@@ -170,6 +173,84 @@ def _report_failures(stage, failures, media, what="media"):
     return 3
 
 
+class _PoolingThread:
+    """Runs :func:`pool_rows` of one chunk at a time on one worker thread,
+    while the caller reads the next chunk and finishes the last.
+
+    :meth:`swap` waits for the product in flight, then casts the next
+    chunk into one reused float64 buffer and starts its product; so at
+    most one product is in flight, and the buffer is not overwritten while
+    it is read.  An exception on the worker is raised again by
+    :meth:`take`, and leaving the ``with`` block joins the thread.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+        self._job = self._result = None
+        self._in_flight = self._stopping = False
+        self._posted, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run, name="bilin-encode-pool", daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._in_flight:  # a chunk submitted is pooled, whatever the exit
+            self._done.acquire()
+        self._stopping = True
+        self._posted.release()
+        self._thread.join()
+
+    def _run(self):
+        while True:
+            self._posted.acquire()
+            if self._stopping:
+                return
+            try:
+                self._result = pool_rows(self._job)
+            except BaseException as exc:  # such as a MemoryError, for take()
+                self._result = exc
+            self._done.release()
+
+    def take(self):
+        """The pooled rows of the chunk in flight, once its product is
+        done, or None if no chunk is in flight."""
+        if not self._in_flight:
+            return None
+        self._in_flight = False
+        self._done.acquire()
+        rows, self._result = self._result, None
+        if isinstance(rows, BaseException):
+            raise rows
+        return rows
+
+    def swap(self, maps):
+        """:meth:`take`, then start the product of the float32
+        ``(n, H, W, C)`` stack ``maps``, cast into the buffer."""
+        rows = self.take()
+        if maps.size > self._buffer.size:
+            self._job = self._buffer = None  # so the old buffer is freed first
+            self._buffer = np.empty(maps.size)
+        self._job = self._buffer[:maps.size].reshape(maps.shape)
+        np.copyto(self._job, maps)
+        self._posted.release()
+        self._in_flight = True
+        return rows
+
+
+def _write_rows(store, pooled):
+    """Write the descriptors of a chunk's pooled rows (None for no chunk)
+    to ``store``, finished in place: the ShapeError of a descriptor dim
+    other than the store's, or None."""
+    if pooled is not None:
+        try:
+            store.write(normalize_rows(pooled))
+        except ShapeError as exc:
+            return exc
+    return None
+
+
 def cmd_encode(args):
     data_dir = str(Path(args.input))
     splits = _read_dataset(args.input, args.check_files)
@@ -186,19 +267,17 @@ def cmd_encode(args):
 
     failures, mixed_dims = [], None
     paths = (os.path.join(data_dir, m.path) for m in media)
-    with Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store:
-        # after a failure this run writes nothing; it goes on to list every failure
+    with (Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store,
+          _PoolingThread() as pooling):
+        # while the worker pools chunk i, this thread finishes chunk i-1,
+        # writes its rows and frees them, then reads and checks chunk i+1.
+        # After a failure this run pools and writes nothing more; it goes on
+        # to list every failure
         for _, maps, _ in MapReader().chunks(paths, _chunk_room, failures):
-            # the last chunk's descriptors are freed before this chunk's are
-            # made, whose pooled matrices then reuse their pages
-            rows = None
             if not (failures or mixed_dims):
-                rows = encode(maps)
-            if rows is not None:
-                try:
-                    store.write(rows)
-                except ShapeError as exc:
-                    mixed_dims = exc
+                mixed_dims = _write_rows(store, pooling.swap(maps))
+        if not (failures or mixed_dims):
+            mixed_dims = _write_rows(store, pooling.take())
         if failures:
             return _report_failures("encode", failures, media)
         if mixed_dims:

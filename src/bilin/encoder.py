@@ -10,10 +10,12 @@ co-occurrence statistics.  The pooled matrix is vectorized row-major
 root and then scaled to unit Euclidean norm.
 
 Accumulation is done in float64; descriptors are cast to float32 only
-at storage time (see :mod:`bilin.io`).  All public functions are pure:
-:func:`encode` runs the signed square root and the normalisation in
-place, but only on the pooled matrix it allocates itself, and it checks
-finiteness once, on its input maps.
+at storage time (see :mod:`bilin.io`).  All public functions but
+:func:`normalize_rows` are pure: :func:`encode` runs the signed square
+root and the normalisation in place, but only on the pooled matrix it
+allocates itself, and it checks finiteness once, on its input maps.
+:func:`pool_rows` and :func:`normalize_rows` are its two halves, for a
+caller that has checked its maps already and runs the halves apart.
 
 In the symmetric case (``b=None``) :func:`encode` also takes an
 ``(N, H, W, C)`` stack of maps, and :func:`encode_shared` runs that case
@@ -56,6 +58,21 @@ def _pool_shared(maps):
     map, so a map pools to the same bits alone or in a stack."""
     flat = _flat(maps)
     return np.matmul(flat.swapaxes(-1, -2), flat)
+
+
+def pool_rows(maps):
+    """The first step of ``encode(maps)``, without its check: the pooled
+    matrices of a finite float64 ``(H, W, C)`` map or ``(N, H, W, C)``
+    stack, each vectorized to one ``C*C`` row."""
+    return _pool_shared(maps).reshape(maps.shape[:-3] + (-1,))
+
+
+def normalize_rows(x):
+    """The last steps of :func:`encode`, in place on pooled rows ``x``:
+    the signed square root, then each row (last axis) scaled to unit
+    norm.  Returns ``x``."""
+    _l2_normalize_inplace(_signed_sqrt_inplace(x))
+    return x
 
 
 def bilinear_pool(a, b=None):
@@ -178,12 +195,10 @@ def encode(a, b=None):
     bit-identical to ``encode`` of its map alone.
     """
     if b is None:
-        a = _as_map(a, "a", stack=True)
-        x = _pool_shared(a).reshape(a.shape[:-3] + (-1,))
+        x = pool_rows(_as_map(a, "a", stack=True))
     else:
         x = bilinear_pool(a, b).reshape(-1)
-    _l2_normalize_inplace(_signed_sqrt_inplace(x))
-    return x
+    return normalize_rows(x)
 
 
 def encode_backward_shared(a, g_desc):
@@ -233,7 +248,7 @@ def encode_shared(maps):
     are kept, so the descriptors are a copy.
     """
     maps = _as_map(maps, "maps", stack=True)
-    pooled = _pool_shared(maps).reshape(maps.shape[:-3] + (-1,))
+    pooled = pool_rows(maps)
     desc = _signed_sqrt_inplace(pooled.copy())
     norm = _l2_normalize_inplace(desc)
     return SharedEncoding(maps, pooled, norm, desc)
@@ -247,9 +262,7 @@ def first_order_descriptor(values):
     as the first-order point of comparison for the bilinear encoding.
     """
     arr = _as_map(values, "values")
-    mean = arr.reshape(-1, arr.shape[2]).mean(axis=0)
-    _l2_normalize_inplace(_signed_sqrt_inplace(mean))
-    return mean
+    return normalize_rows(arr.reshape(-1, arr.shape[2]).mean(axis=0))
 
 
 @dataclass
