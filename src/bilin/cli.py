@@ -50,11 +50,20 @@ from .svm import fit_ovr_svm
 # Encode's chunk budget: a chunk holds maps of one shape while the larger
 # of their float64 maps or their pooled matrices, summed, stays within it;
 # a map larger than the budget runs alone.  Encode holds one chunk of
-# maps, in float32 as read and in float64, and two of pooled matrices
-# (see cmd_encode), so a larger budget buys fewer stacked passes with a
-# few times its size in peak memory.  Finetune's first pass over its
-# train maps reads them in the same chunks.
+# maps, in float32 as read and in float64, and at most two of pooled
+# matrices (see cmd_encode), so a larger budget buys fewer stacked
+# passes with a few times its size in peak memory.  Finetune's first
+# pass over its train maps reads them in the same chunks.
 ENCODE_CHUNK_BYTES = 1 << 18
+
+# Encode pools a chunk on a thread of its own only when its product
+# takes at least this many multiply-adds (n * H * W * C * C).  Below
+# it, starting, joining and handing the lock to a thread (about 0.1 ms
+# a chunk) cost about what the overlap saves, or more: at one BLAS
+# thread, 16x16x128 maps (4.2M a chunk) encoded no faster on a thread
+# and 12x12x128 (2.4M) 28 % slower; 14x14x256 (12.8M) 20 % faster.
+# A 27x27x512 map takes 191M, a chunk of 56 maps of 6x6x16 0.5M.
+POOL_THREAD_MACS = 1 << 23
 
 
 def config_defaults(stage, path):
@@ -173,69 +182,42 @@ def _report_failures(stage, failures, media, what="media"):
     return 3
 
 
-class _PoolingThread:
-    """Runs :func:`pool_rows` of one chunk at a time on one worker thread,
-    while the caller reads the next chunk and finishes the last.
+def _spare_core():
+    """Whether this process has a core to spare beside BLAS's threads:
+    more cores than OpenBLAS runs threads, which is OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, else one per core, as OpenBLAS reads them."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return blas < (cores or 1)
+    return False
 
-    :meth:`swap` waits for the product in flight, then casts the next
-    chunk into one reused float64 buffer and starts its product; so at
-    most one product is in flight, and the buffer is not overwritten while
-    it is read.  An exception on the worker is raised again by
-    :meth:`take`, and leaving the ``with`` block joins the thread.
-    """
 
-    def __init__(self):
-        self._buffer = np.empty(0)
-        self._job = self._result = None
-        self._in_flight = self._stopping = False
-        self._posted, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._run, name="bilin-encode-pool", daemon=True)
+class _Product(threading.Thread):
+    """:func:`pool_rows` of one float64 stack, on a thread of its own."""
 
-    def __enter__(self):
-        self._thread.start()
-        return self
+    def __init__(self, maps):
+        super().__init__(name="bilin-encode-pool", daemon=True)
+        self._maps, self._rows = maps, None
 
-    def __exit__(self, *exc_info):
-        if self._in_flight:  # a chunk submitted is pooled, whatever the exit
-            self._done.acquire()
-        self._stopping = True
-        self._posted.release()
-        self._thread.join()
+    def run(self):
+        try:
+            self._rows = pool_rows(self._maps)
+        except BaseException as exc:  # such as a MemoryError, for rows()
+            self._rows = exc
+        self._maps = None
 
-    def _run(self):
-        while True:
-            self._posted.acquire()
-            if self._stopping:
-                return
-            try:
-                self._result = pool_rows(self._job)
-            except BaseException as exc:  # such as a MemoryError, for take()
-                self._result = exc
-            self._done.release()
-
-    def take(self):
-        """The pooled rows of the chunk in flight, once its product is
-        done, or None if no chunk is in flight."""
-        if not self._in_flight:
-            return None
-        self._in_flight = False
-        self._done.acquire()
-        rows, self._result = self._result, None
+    def rows(self):
+        """The pooled rows, once the product is done; an exception on the
+        thread is raised again here, with its own type."""
+        self.join()
+        rows, self._rows = self._rows, None
         if isinstance(rows, BaseException):
             raise rows
-        return rows
-
-    def swap(self, maps):
-        """:meth:`take`, then start the product of the float32
-        ``(n, H, W, C)`` stack ``maps``, cast into the buffer."""
-        rows = self.take()
-        if maps.size > self._buffer.size:
-            self._job = self._buffer = None  # so the old buffer is freed first
-            self._buffer = np.empty(maps.size)
-        self._job = self._buffer[:maps.size].reshape(maps.shape)
-        np.copyto(self._job, maps)
-        self._posted.release()
-        self._in_flight = True
         return rows
 
 
@@ -265,19 +247,32 @@ def cmd_encode(args):
         # without it a failed or interrupted rerun cannot pass for a finished one
         manifest_path.unlink()
 
-    failures, mixed_dims = [], None
+    failures, mixed_dims, product, overlap = [], None, None, _spare_core()
     paths = (os.path.join(data_dir, m.path) for m in media)
-    with (Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store,
-          _PoolingThread() as pooling):
-        # while the worker pools chunk i, this thread finishes chunk i-1,
-        # writes its rows and frees them, then reads and checks chunk i+1.
-        # After a failure this run pools and writes nothing more; it goes on
-        # to list every failure
-        for _, maps, _ in MapReader().chunks(paths, _chunk_room, failures):
-            if not (failures or mixed_dims):
-                mixed_dims = _write_rows(store, pooling.swap(maps))
-        if not (failures or mixed_dims):
-            mixed_dims = _write_rows(store, pooling.take())
+    with Outputs(out_dir) as out, StoreWriter(out, [m.media_id for m in media]) as store:
+        # with a core to spare, a chunk of POOL_THREAD_MACS or more is
+        # pooled on a thread of its own while this thread finishes the
+        # chunk before and writes its rows, then reads and checks the
+        # next; any other chunk is pooled and written in turn.  After a
+        # failure this run pools and writes nothing more; it goes on to
+        # list every failure
+        try:
+            for _, maps, _ in MapReader().chunks(paths, _chunk_room, failures):
+                if failures or mixed_dims:
+                    continue
+                pooled = product.rows() if product else None
+                product, maps = None, maps.astype(np.float64)
+                if overlap and maps.size * maps.shape[-1] >= POOL_THREAD_MACS:
+                    product = _Product(maps)
+                    product.start()
+                    mixed_dims = _write_rows(store, pooled)
+                else:
+                    mixed_dims = _write_rows(store, pooled) or _write_rows(store, pool_rows(maps))
+            if product and not (failures or mixed_dims):
+                mixed_dims = _write_rows(store, product.rows())
+        finally:
+            if product:  # a chunk started is pooled, whatever the exit
+                product.join()
         if failures:
             return _report_failures("encode", failures, media)
         if mixed_dims:

@@ -7,6 +7,7 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -404,8 +405,24 @@ class TestEncode:
 
 
 class TestEncodePipeline:
-    """Encode pools each chunk on one worker thread while the main thread
-    reads the next chunk and finishes the last."""
+    """With a core to spare, encode pools each large chunk on a thread of
+    its own while the main thread reads the next chunk and finishes the
+    last; without one it pools and writes each chunk in turn.  Every test
+    runs both ways, every chunk counting as large when a core is spare."""
+
+    @pytest.fixture(autouse=True, params=[True, False], ids=["overlap", "in_turn"])
+    def overlap(self, request, monkeypatch):
+        monkeypatch.setattr("bilin.cli._spare_core", lambda: request.param)
+        monkeypatch.setattr("bilin.cli.POOL_THREAD_MACS", 0)
+        run = cli._Product.run
+
+        def lingering(product):
+            # a thread left unjoined is still alive when encode returns
+            run(product)
+            time.sleep(0.01)
+
+        monkeypatch.setattr(cli._Product, "run", lingering)
+        return request.param
 
     @staticmethod
     def encode_run(data, out, expected_code):
@@ -438,7 +455,7 @@ class TestEncodePipeline:
         assert chunks == [(3, 6, 6, 4)] * 7
         assert not (tmp_path / "d").exists()
 
-    def test_mixed_dims_join_the_worker(self, tmp_path, monkeypatch, capsys):
+    def test_mixed_dims_join_the_worker(self, tmp_path, monkeypatch, capsys, overlap):
         data = synth(tmp_path)
         media = TestEncode.media_of(data)
         # a chunk of its own, found while the next chunk's product is in flight
@@ -446,12 +463,14 @@ class TestEncodePipeline:
         monkeypatch.setattr("bilin.cli.ENCODE_CHUNK_BYTES", 8 * 6 * 6 * 4 * 3)
         chunks = TestEncode.record_encode(monkeypatch)
         self.encode_run(data, tmp_path / "d", 2)
-        assert chunks == [(3, 6, 6, 4)] * 3 + [(1, 6, 6, 4), (1, 6, 6, 3), (3, 6, 6, 4)]
+        # in turn, the mixed dim is found before the next chunk is pooled
+        assert chunks == ([(3, 6, 6, 4)] * 3 + [(1, 6, 6, 4), (1, 6, 6, 3)]
+                          + [(3, 6, 6, 4)] * overlap)
         assert "one descriptor dim" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    def test_memory_error_in_the_product_exits_2_on_the_main_thread(self, tmp_path,
-                                                                    monkeypatch, capsys):
+    def test_memory_error_in_the_product_exits_2_on_the_main_thread(self, tmp_path, monkeypatch,
+                                                                    capsys, overlap):
         data = synth(tmp_path)
         monkeypatch.setattr("bilin.cli.ENCODE_CHUNK_BYTES", 8 * 6 * 6 * 4 * 3)
         threads = []
@@ -467,7 +486,7 @@ class TestEncodePipeline:
         err = capsys.readouterr().err
         assert "out of memory" in err and "Traceback" not in err
         assert len(threads) == 3  # no chunk is pooled after the failed one
-        assert threading.main_thread() not in threads
+        assert (threading.main_thread() in threads) != overlap
         assert not (tmp_path / "d").exists()
 
     def test_interrupted_write_joins_the_worker(self, tmp_path, monkeypatch):
@@ -504,9 +523,30 @@ class TestEncodePipeline:
         rows = self.per_map_rows(data)
         assert (tmp_path / "d" / "descriptors.npy").read_bytes()[128:] == rows.tobytes()
 
+    def test_only_large_chunks_are_pooled_on_a_thread(self, tmp_path, monkeypatch, overlap):
+        data = synth(tmp_path)
+        media = TestEncode.media_of(data)
+        rng = np.random.default_rng(4)
+        for m in media[:3]:
+            save_feature_map(data / m.path, rng.random((5, 7, 4)), rectified=True)
+        monkeypatch.setattr("bilin.cli.ENCODE_CHUNK_BYTES", 8 * 6 * 6 * 4 * 5)
+        monkeypatch.setattr("bilin.cli.POOL_THREAD_MACS", 5 * 6 * 6 * 4 * 4)
+        pooled_by = []
+
+        def recorded(maps):
+            pooled_by.append((len(maps), threading.current_thread() is threading.main_thread()))
+            return pool_rows(maps)
+
+        monkeypatch.setattr("bilin.cli.pool_rows", recorded)
+        self.encode_run(data, tmp_path / "d", 0)
+        # 3 maps of 5x7x4 and the last single map fall below the threshold
+        assert pooled_by == [(3, True)] + [(5, not overlap)] * 4 + [(1, True)]
+        rows = self.per_map_rows(data)
+        assert (tmp_path / "d" / "descriptors.npy").read_bytes()[128:] == rows.tobytes()
+
     def test_rows_hold_under_a_short_switch_interval(self, tmp_path, monkeypatch):
-        # the main thread may not cast a chunk into the worker's buffer
-        # while the worker still pools the chunk before it
+        # the main thread may not finish a chunk's rows while its product
+        # still runs, however often the threads switch
         data = synth(tmp_path, extra=("--map-dims", "27x27x128"))
         monkeypatch.setattr("bilin.cli.ENCODE_CHUNK_BYTES", 1)
         interval = sys.getswitchinterval()
@@ -529,6 +569,32 @@ class TestEncodePipeline:
         assert chunks == [(10, 6, 6, 4), (14, 5, 7, 4)]
         rows = self.per_map_rows(data)
         assert (tmp_path / "d" / "descriptors.npy").read_bytes()[128:] == rows.tobytes()
+
+
+
+class TestSpareCore:
+    """Encode overlaps only when BLAS's threads, as OpenBLAS reads them
+    from the environment, leave a core free."""
+
+    @pytest.mark.parametrize("env, cores, spare", [
+        ({}, 2, False),  # one BLAS thread per core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, True),
+    ])
+    def test_spare_core(self, monkeypatch, env, cores, spare):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert cli._spare_core() is spare
 
 
 class TestMetadata:
