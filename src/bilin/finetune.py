@@ -56,6 +56,9 @@ MIN_IMPROVEMENT = 1e-4
 # k = 3 and 4 channels, so that 12 such samples share a pass.
 STACK_BYTES = 1 << 17
 
+# Standard deviation of the softmax head's normal initial weights.
+HEAD_INIT_STD = 0.01
+
 
 @dataclass
 class SoftmaxHead:
@@ -76,12 +79,12 @@ class SoftmaxHead:
         return SoftmaxHead(self.weights.copy(), self.bias.copy())
 
 
-def init_softmax_head(n_classes, dim, seed=0, std=0.01):
+def init_softmax_head(n_classes, dim, seed=0):
     if n_classes < 2:
         raise DataError("softmax head needs at least 2 classes")
     rng = np.random.default_rng(seed)
     return SoftmaxHead(
-        weights=rng.normal(0.0, std, size=(n_classes, dim)),
+        weights=rng.normal(0.0, HEAD_INIT_STD, size=(n_classes, dim)),
         bias=np.zeros(n_classes),
     )
 

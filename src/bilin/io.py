@@ -138,18 +138,21 @@ def _flags(shape):
 
 
 def save_feature_map(path, values, rectified=False):
-    fmap = values if isinstance(values, FeatureMap) else FeatureMap(
-        np.asarray(values), rectified
-    )
-    arr = np.ascontiguousarray(fmap.values, dtype=np.float32)
-    fmap = FeatureMap(arr, fmap.rectified)
-    fmap.validate()
-    h, w, c = arr.shape
+    """Write ``values`` (H, W, C), or a :class:`FeatureMap`, as a .bfm map;
+    its shape and size are checked before its values are copied to float32."""
+    if isinstance(values, FeatureMap):
+        values, rectified = values.values, values.rectified
+    values = np.asarray(values)
+    if values.ndim != 3:
+        raise FormatError(f"expected 3-D values, got shape {values.shape}")
+    h, w, c = values.shape
     if h * w * c > MAX_MAP_ELEMENTS:
         raise BoundsError(f"map of {h}x{w}x{c} exceeds the format limit")
+    fmap = FeatureMap(np.ascontiguousarray(values, dtype=np.float32), rectified)
+    fmap.validate()
     with open(path, "wb") as f:
-        f.write(_header(arr.shape, fmap.rectified))
-        f.write(arr.tobytes(order="C"))
+        f.write(_header(fmap.values.shape, fmap.rectified))
+        f.write(fmap.values)
 
 
 def _named(exc, path):

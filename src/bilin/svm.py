@@ -178,38 +178,30 @@ def _gram_descent(columns, dim, Y, weighted, reg_c, epochs):
     return A, b, scores
 
 
-def _column_medians(scores, mask):
-    """``np.median`` of the entries of each column of the (n, k) ``scores``
-    that ``mask`` selects, bit for bit: the middle order statistic, or the
-    mean of the two middle ones, NaN if any entry is NaN.  Each column is
-    sorted with its other entries set to +inf, so that the selected ones
-    come first (a NaN comes last)."""
-    count = mask.sum(axis=0)
-    ordered = np.where(mask.T, scores.T, np.inf)  # a row per column
-    ordered.sort(axis=1)
-    rows = np.arange(len(count))
-    # np.mean of the middle one or two, a sum that starts from 0.0
-    low, high = 0.0 + ordered[rows, (count - 1) // 2], ordered[rows, count // 2]
-    middle = np.where(count % 2 == 1, low, (low + high) / 2)
-    return np.where(np.isnan(ordered[:, -1]), np.nan, middle)
-
-
-def _rescales(scores, positive, identity_ids):
-    """``(rescale_a, rescale_b)`` of the models of the columns of the (n, k)
-    training ``scores``, whose positives ``positive`` marks (see
-    :func:`rescale_model`); the first identity, in column order, whose
-    median positive does not exceed its median negative is a
-    DegenerateModelError."""
-    med_pos, med_neg = _column_medians(scores, positive), _column_medians(scores, ~positive)
-    degenerate = np.flatnonzero(med_pos <= med_neg)
-    if degenerate.size:
-        j = degenerate[0]
+def _rescale(pos_scores, neg_scores, identity_id):
+    """``(rescale_a, rescale_b)`` of one model from its training scores on
+    its positives and its negatives (see :func:`rescale_model`); a median
+    positive that does not exceed the median negative is a
+    DegenerateModelError naming ``identity_id``."""
+    med_pos, med_neg = np.median(pos_scores), np.median(neg_scores)
+    if med_pos <= med_neg:
         raise DegenerateModelError(
-            f"median positive score {float(med_pos[j]):g} does not exceed "
-            f"median negative {float(med_neg[j]):g} for {identity_ids[j]!r}"
+            f"median positive score {float(med_pos):g} does not exceed "
+            f"median negative {float(med_neg):g} for {identity_id!r}"
         )
     a = 2.0 / (med_pos - med_neg)
     return a, 1.0 - a * med_pos
+
+
+def _rescales(scores, positive, identity_ids):
+    """The ``(rescale_a, rescale_b)`` arrays of :func:`_rescale` of each
+    column of the (n, k) training ``scores``, whose positives ``positive``
+    marks, in order: the first degenerate identity is the one named."""
+    a, b = np.empty(len(identity_ids)), np.empty(len(identity_ids))
+    for j, identity_id in enumerate(identity_ids):
+        column, mask = scores[:, j], positive[:, j]
+        a[j], b[j] = _rescale(column[mask], column[~mask], identity_id)
+    return a, b
 
 
 def rescale_model(model, pos_scores, neg_scores):
@@ -224,9 +216,7 @@ def rescale_model(model, pos_scores, neg_scores):
     neg_scores = np.asarray(neg_scores, dtype=np.float64).ravel()
     if pos_scores.size == 0 or neg_scores.size == 0:
         raise ValueError("both score lists must be non-empty")
-    scores = np.concatenate([pos_scores, neg_scores])[:, None]
-    positive = np.arange(len(scores))[:, None] < pos_scores.size
-    (a,), (b,) = _rescales(scores, positive, [model.identity_id])
+    a, b = _rescale(pos_scores, neg_scores, model.identity_id)
     return replace(model, rescale_a=float(a), rescale_b=float(b))
 
 

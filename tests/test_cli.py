@@ -64,6 +64,15 @@ def overwrite_store(desc, row):
     np.save(desc / "descriptors.npy", np.tile(np.asarray(row, np.float32), (n, 1)))
 
 
+def keep_rows(data, keep):
+    """Rewrite ``data``'s metadata.csv with only the rows whose cells
+    (split_index, role, template_id, subject_id, ...) ``keep`` accepts."""
+    metadata = data / "metadata.csv"
+    header, *rows = metadata.read_text().splitlines()
+    kept = [row for row in rows if keep(row.split(","))]
+    metadata.write_text("".join(line + "\n" for line in [header, *kept]))
+
+
 def run_pipeline(tmp_path, tag, pooling="score", synth_extra=()):
     data = synth(tmp_path, f"data_{tag}", synth_extra)
     desc = tmp_path / f"desc_{tag}"
@@ -684,6 +693,16 @@ class TestTrainGallery:
         assert rc == 2
         assert "bilin encode" in capsys.readouterr().err
 
+    def test_split_without_gallery_exits_2_writing_nothing(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        desc, models = tmp_path / "desc", tmp_path / "models"
+        assert main(["encode", "--input", str(data), "--out", str(desc)]) == 0
+        keep_rows(data, lambda cells: cells[1] != "gallery")
+        assert main(["train-gallery", "--data", str(data), "--descriptors", str(desc),
+                     "--out", str(models)]) == 2
+        assert "split 1 has no gallery templates" in capsys.readouterr().err
+        assert not models.exists()
+
 class TestEval:
     def test_summary_shape_and_outputs(self, tmp_path):
         summary_path = run_pipeline(tmp_path, "main")
@@ -818,6 +837,14 @@ class TestFinetuneCommand:
         rc = main(["finetune", "--data", str(data),
                    "--out", str(tmp_path / "ft")])
         assert rc == 2
+
+    def test_one_train_identity_exits_2_writing_nothing(self, tmp_path, capsys):
+        data = synth(tmp_path, extra=("--templates", "6"))
+        keep_rows(data, lambda cells: cells[1] != "train" or cells[3].endswith("id000"))
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(out)]) == 2
+        assert "fine-tuning needs at least 2 train identities" in capsys.readouterr().err
+        assert not out.exists()
 
     # a head width of 16385**2, or a 4097x4097x4x4 kernel, is one value past
     # the .bfm limit of 2**28; the head would take classes x 2 GiB of float64
@@ -1069,6 +1096,14 @@ class TestPlot:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_header_only_csv_exits_2_writing_nothing(self, tmp_path, capsys):
+        cmc = tmp_path / "cmc.csv"
+        cmc.write_text("rank,recall\n")
+        out = tmp_path / "p"
+        assert main(["plot", "--cmc", str(cmc), "--out", str(out)]) == 2
+        assert f"{cmc}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_det_without_positive_fpir_exits_2_naming_file_and_column(self, tmp_path,
                                                                       capsys):
         det = tmp_path / "det.csv"
@@ -1244,6 +1279,18 @@ class TestConfigFile:
         assert main([*stage_argv("eval", pipeline, res), "--config", str(cfg)]) == 0
         assert list(json.loads((res / "summary.json").read_text())["splits"]) == ["1"]
         assert "fnir-rank1=True" in (res / "run_config.txt").read_text()
+
+    def test_comment_and_blank_lines_are_skipped(self, pipeline, tmp_path):
+        cfg = tmp_path / "c.txt"
+        # read as a key, the commented line would be a bad value (exit 2)
+        cfg.write_text("# epochs=abc\n\n   \nsplit=1\n")
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        assert main([*stage_argv("train-gallery", pipeline, by_flag), "--split", "1"]) == 0
+        assert main([*stage_argv("train-gallery", pipeline, by_file),
+                     "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in by_file.glob("*.bgm")) == ["gallery_s01.bgm"]
+        assert "\nepochs=100\n" in (by_file / "run_config.txt").read_text()
+        assert tree_hash(by_file) == tree_hash(by_flag)
 
     @pytest.mark.parametrize("stage, line", [
         ("train-gallery", "reg-c=abc"), ("train-gallery", "balanced=maybe"),

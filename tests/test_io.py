@@ -202,6 +202,18 @@ class TestFeatureMapFormat:
         with pytest.raises(NumericError):
             save_feature_map(tmp_path / "nan.bfm", np.full((1, 1, 2), np.nan))
 
+    def test_oversized_map_is_refused_before_it_is_copied_or_checked(self, tmp_path,
+                                                                     monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the values of an oversized map were checked")
+
+        monkeypatch.setattr("bilin.io.MAX_MAP_ELEMENTS", 64)
+        monkeypatch.setattr("bilin.io.map_faults", forbidden)
+        path = tmp_path / "big.bfm"
+        with pytest.raises(BoundsError, match="map of 5x5x3 exceeds the format limit"):
+            save_feature_map(path, np.ones((5, 5, 3)))
+        assert not path.exists()
+
 
 def toy_gallery(rng, dim=6, n=3):
     f32 = lambda a: a.astype(np.float32).astype(np.float64)  # noqa: E731
@@ -435,6 +447,27 @@ class TestGalleryFormat:
         save_gallery(path, gallery)
         assert load_gallery(path).identity_ids == ["pérsonne-01"]
 
+    @pytest.mark.parametrize("data, error, message", [
+        (BGM_MAGIC + struct.pack("<II", 1, 0), BoundsError, "non-positive descriptor dim"),
+        # two models of dim 1: the first one's 3-byte id leaves 17 of the
+        # 18 bytes that the second, with an empty id, needs
+        (BGM_MAGIC + struct.pack("<IIH", 2, 1, 3) + b"abc" + struct.pack("<4f", 0, 0, 1, 0)
+         + struct.pack("<H", 0) + bytes(15), CorruptFileError, "truncated model record"),
+    ], ids=["zero-dim", "second-record-short"])
+    def test_malformed_header_or_record(self, tmp_path, data, error, message):
+        path = tmp_path / "g.bgm"
+        path.write_bytes(data)
+        with pytest.raises(error, match=message):
+            load_gallery(path)
+
+    def test_over_long_identity_id_is_refused_writing_nothing(self, tmp_path):
+        gallery = GalleryModelSet(["a" * 0x10000], np.zeros((1, 2), np.float32),
+                                  np.zeros(1), np.ones(1), np.zeros(1))
+        path = tmp_path / "g.bgm"
+        with pytest.raises(FormatError, match="identity id too long"):
+            save_gallery(path, gallery)
+        assert not path.exists()
+
     @pytest.mark.parametrize("ids", [[b"\xff\xfe"], [b"b", b"a"], [b"a", b"a"]])
     def test_undecodable_or_unordered_ids_are_corruption(self, tmp_path, ids):
         data = BGM_MAGIC + struct.pack("<II", len(ids), 1)
@@ -640,6 +673,20 @@ class TestDescriptorFiles:
         toy_store(tmp_path, rng)
         with pytest.raises(ConfigError, match="'m9'"):
             load_store(tmp_path, ["m0", "m9"])
+
+    @pytest.mark.parametrize("edit, error, message", [
+        ("version-2.0", FormatError, "not a version 1.0 .npy file"),
+        ("zero-dim", BoundsError, "non-positive descriptor dim 0"),
+    ])
+    def test_malformed_array_header_rejected(self, tmp_path, rng, edit, error, message):
+        ids, descriptors = toy_store(tmp_path, rng)
+        with open(tmp_path / "descriptors.npy", "wb") as f:
+            if edit == "version-2.0":
+                np.lib.format.write_array(f, np.float32(descriptors), version=(2, 0))
+            else:
+                np.lib.format.write_array(f, np.zeros((len(ids), 0), np.float32))
+        with pytest.raises(error, match=message):
+            load_store(tmp_path, ids[:1])
 
     @pytest.mark.parametrize("text", [
         "media_id,path,dim\nm0,descriptors/m0.npy,5\n",  # per-medium layout
