@@ -186,14 +186,14 @@ def _spare_core():
     """Whether this process has a core to spare beside BLAS's threads:
     more cores than OpenBLAS runs threads, which is OPENBLAS_NUM_THREADS,
     else OMP_NUM_THREADS, else one per core, as OpenBLAS reads them."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cores = protocol.usable_cores()
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(name, ""))
         except ValueError:
             continue
         if blas > 0:
-            return blas < (cores or 1)
+            return blas < cores
     return False
 
 

@@ -34,6 +34,8 @@ from .errors import NumericError, ShapeError
 # Subgradient smoothing for the signed square root at 0: the backward
 # pass uses 1 / (2 * sqrt(|x| + SQRT_EPS)); the forward pass is exact.
 SQRT_EPS = 1e-8
+# Elements the signed square root takes at once (256 KiB of float64)
+SQRT_BLOCK = 1 << 15
 
 
 def _as_map(values, name, stack=False):
@@ -103,11 +105,22 @@ def bilinear_pool(a, b=None):
 
 
 def _signed_sqrt_inplace(x):
-    # Same bits as sign(x) * sqrt(|x|): -0.0 is not < 0, so it maps to +0.0.
-    neg = x < 0
-    np.abs(x, out=x)
-    np.sqrt(x, out=x)
-    np.negative(x, out=x, where=neg)
+    # Same bits as sign(x) * sqrt(|x|), -0.0 giving +0.0, on a C-contiguous
+    # x a block at a time: a block with a negative entry keeps the signs of
+    # x + 0.0 (none for -0.0) in a block-sized buffer and copies them back,
+    # far faster than a masked negative.  A block holding NaN counts as
+    # nonnegative; its row then fails the L2 norm's check.
+    flat = x.reshape(-1)
+    sign = np.empty(min(flat.size, SQRT_BLOCK))
+    for start in range(0, flat.size, SQRT_BLOCK):
+        block = flat[start:start + SQRT_BLOCK]
+        mixed = block.min(initial=0.0) < 0
+        if mixed:
+            np.add(block, 0.0, out=sign[:block.size])
+        np.abs(block, out=block)
+        np.sqrt(block, out=block)
+        if mixed:
+            np.copysign(block, sign[:block.size], out=block)
     return x
 
 
@@ -140,7 +153,7 @@ def signed_sqrt(v):
     Preserves the sign pattern.  Not idempotent: applying it twice
     yields a signed fourth root.
     """
-    v = np.array(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64, order="C")
     if not np.all(np.isfinite(v)):
         raise NumericError("signed_sqrt: non-finite input")
     return _signed_sqrt_inplace(v)

@@ -115,10 +115,11 @@ class FeatureMap:
 def map_faults(maps, rectified):
     """What :meth:`FeatureMap.validate` finds wrong with each map of an
     ``(N, H, W, C)`` stack, whose rectification flags are ``rectified``:
-    a message, or None for a sound map.  Each test is one reduction over
-    the whole stack."""
-    finite = np.isfinite(maps).all(axis=(1, 2, 3))
-    negative = np.asarray(rectified, dtype=bool) & (maps < 0).any(axis=(1, 2, 3))
+    a message, or None for a sound map.  Both tests read one min and one
+    max per map: NaN carries through both, and -0.0 is not below 0."""
+    low, high = maps.min(axis=(1, 2, 3)), maps.max(axis=(1, 2, 3))
+    finite = np.isfinite(low) & np.isfinite(high)
+    negative = np.asarray(rectified, dtype=bool) & (low < 0)
     return [None if ok and not neg
             else "feature map contains non-finite values" if not ok
             else "rectified feature map has negative entries"

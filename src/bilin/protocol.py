@@ -11,11 +11,17 @@ impostors that make the protocol open-set.
 The synthetic generator plants a hidden channel-correlation pattern per
 identity, so classes are separable by second-order statistics while
 location-averaged first-order features carry almost no identity signal.
+Each map is drawn from a generator of its own and saved to a file of its
+own, so maps can be rendered in any order: large ones are rendered and
+saved on one thread per usable core, with the same bytes as in turn.
 """
 
 import csv
+import math
 import operator
+import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +37,14 @@ CSV_COLUMNS = ("split_index", "role", "template_id", "subject_id",
 
 # media ids become output filenames, so keep them to a safe charset
 MEDIA_ID_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
+
+# Synth renders and saves maps of at least this many values (H * W * C)
+# on one thread per usable core, smaller ones in turn: below it, handing
+# maps to threads costs more than the overlap saves.  On two cores at one
+# BLAS thread, two threads took 1.59x the serial time a map at 6x6x16,
+# 1.33x at 12x12x8 and 1.11x at 12x12x48 (6912 values), 0.72-0.96x at
+# 8192 values, 0.65x at 16x16x128 and 0.49x at 27x27x512.
+SYNTH_THREAD_VALUES = 1 << 13
 
 
 @dataclass(slots=True)
@@ -263,11 +277,59 @@ def _identity_pattern(rng, channels):
 
 
 def _render_map(rng, pattern, dims, noise_sigma):
+    # two float64 maps at most: the noise is drawn into the first draw's
+    # buffer once the product no longer needs it
     h, w, c = dims
-    latent = rng.standard_normal((h * w, c)) @ pattern.T
+    draw = rng.standard_normal((h * w, c))
+    latent = draw @ pattern.T
     if noise_sigma > 0:
-        latent = latent + noise_sigma * rng.standard_normal((h * w, c))
-    return np.maximum(latent, 0.0).reshape(h, w, c)
+        noise = rng.standard_normal(out=draw)
+        noise *= noise_sigma
+        latent += noise
+    np.maximum(latent, 0.0, out=latent)
+    return latent.reshape(h, w, c)
+
+
+def _write_map(path, seed, pattern, cfg):
+    """Render the map of ``seed`` and save it at ``path``."""
+    values = _render_map(np.random.default_rng(seed), pattern, cfg.map_dims, cfg.noise_sigma)
+    save_feature_map(path, values, rectified=True)
+
+
+def _map_jobs(cfg, out_dir, identities):
+    """The ``_write_map`` arguments of each map, in metadata order, from
+    ((split, identity), [(template, medium, path), ...]) pairs; each
+    identity's pattern is drawn when its first map is taken."""
+    for (split_index, k), media in identities:
+        pattern = _identity_pattern(np.random.default_rng([cfg.seed, split_index, k]),
+                                    cfg.map_dims[2])
+        for t_idx, m_idx, rel_path in media:
+            yield out_dir / rel_path, [cfg.seed, split_index, k, t_idx, m_idx], pattern, cfg
+
+
+def _run_in_threads(fn, jobs, workers):
+    """``fn(*job)`` for each job, on ``workers`` threads with one job each
+    in flight.  A failed job's exception is raised once every job started
+    has ended.  Of several, that of the first in ``jobs`` is raised, the
+    one a serial loop raises, as every job before it has run; the others
+    are dropped."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="bilin-synth") as pool:
+        running = deque()
+        for job in jobs:
+            if len(running) == workers:
+                running.popleft().result()
+            running.append(pool.submit(fn, *job))
+        for future in running:
+            future.result()
+
+
+def usable_cores():
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def synth_generate(cfg, out_dir):
@@ -277,6 +339,11 @@ def synth_generate(cfg, out_dir):
     fifth of the rest as train templates, the remainder probe.
     Impostor identities contribute probe templates only.  Deterministic
     for a fixed config: identical configs produce identical bytes.
+
+    Every map is drawn from its own generator and saved to its own file,
+    so maps of SYNTH_THREAD_VALUES or more values are rendered and saved
+    on one thread per usable core, the rest in turn; metadata.csv is
+    written after the last map.  A failed run leaves the maps it wrote.
 
     Returns the list of generated Split objects.
     """
@@ -290,15 +357,12 @@ def synth_generate(cfg, out_dir):
     t_total = cfg.templates_per_identity
     t_train = (t_total - 1) // 5
 
-    splits = []
+    splits, identities = [], []
     for split_index in range(1, cfg.num_splits + 1):
         split = Split(split_index=split_index)
         for k in range(cfg.num_identities):
             subject = f"s{split_index:02d}_id{k:03d}"
-            pattern = _identity_pattern(
-                np.random.default_rng([cfg.seed, split_index, k]),
-                cfg.map_dims[2],
-            )
+            media = []
             if k < n_enrolled:
                 roles = (["gallery"] + ["train"] * t_train
                          + ["probe"] * (t_total - 1 - t_train))
@@ -309,18 +373,21 @@ def synth_generate(cfg, out_dir):
                 for m_idx in range(cfg.media_per_template):
                     media_id = f"{template.template_id}_m{m_idx:02d}"
                     rel_path = f"maps/{media_id}.bfm"
-                    rng = np.random.default_rng(
-                        [cfg.seed, split_index, k, t_idx, m_idx]
-                    )
-                    values = _render_map(rng, pattern, cfg.map_dims,
-                                         cfg.noise_sigma)
-                    save_feature_map(out_dir / rel_path, values, rectified=True)
+                    media.append((t_idx, m_idx, rel_path))
                     template.media.append(
                         MediaItem(media_id, "still" if m_idx == 0 else "frame",
                                   rel_path, template.template_id)
                     )
                 split.templates(role).append(template)
+            identities.append(((split_index, k), media))
         splits.append(split)
+
+    jobs = _map_jobs(cfg, out_dir, identities)
+    if math.prod(cfg.map_dims) >= SYNTH_THREAD_VALUES:
+        _run_in_threads(_write_map, jobs, usable_cores())
+    else:
+        for job in jobs:
+            _write_map(*job)
 
     write_metadata(splits, out_dir / "metadata.csv")
     return splits

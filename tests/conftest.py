@@ -17,6 +17,7 @@ its two gradients summed, bit for bit.
 """
 
 import csv
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,16 @@ def random_probe_results(rng, n_identities=None, n_probes=None):
         ranked = sorted(scores, key=lambda k: (-scores[k], k))
         results.append(ProbeResult(f"t{p:03d}", subject, scores, ranked))
     return results
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Fail a test that leaves a Python thread alive which was not alive
+    before it: every thread the library starts is joined on every exit."""
+    before = set(threading.enumerate())
+    yield
+    stray = [t.name for t in threading.enumerate() if t not in before]
+    assert not stray, f"threads left alive: {stray}"
 
 
 @pytest.fixture

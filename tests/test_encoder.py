@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bilin import encoder
 from bilin.encoder import (
     SQRT_EPS,
     bilinear_pool,
@@ -202,6 +205,44 @@ class TestSignedSqrt:
     def test_backward_zero_gradient(self, rng):
         v = rng.standard_normal(10)
         assert not signed_sqrt_backward(v, np.zeros(10)).any()
+
+    @staticmethod
+    def masked_signed_sqrt(x):
+        """The signed square root as a masked negative takes it."""
+        neg = x < 0
+        np.abs(x, out=x)
+        np.sqrt(x, out=x)
+        np.negative(x, out=x, where=neg)
+        return x
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 50), (2, 3, 40)])
+    def test_bits_equal_a_masked_negative(self, rng, monkeypatch, shape):
+        monkeypatch.setattr(encoder, "SQRT_BLOCK", 16)  # rows span blocks
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                            0.25, -9.0, np.inf, -np.inf, 1e308, -1e308])
+        for trial in range(40):
+            x = np.array(rng.choice(special, size=shape)
+                         * (rng.random(shape) if trial % 2 else 1.0))
+            if trial % 4 == 3:
+                np.abs(x, out=x)  # nonnegative blocks, holding -0.0
+                x[x == 0.0] = -0.0
+            expected = self.masked_signed_sqrt(x.copy())
+            assert encoder._signed_sqrt_inplace(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_row_sized_temporary(self, rng, sign):
+        x = sign * rng.random((2, 1 << 18))
+        tracemalloc.start()
+        try:
+            encoder._signed_sqrt_inplace(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * encoder.SQRT_BLOCK + 4096, peak
+
+    def test_fortran_order_input(self):
+        v = np.asfortranarray([[4.0, -9.0], [-0.0, 0.25]])
+        assert np.array_equal(signed_sqrt(v), [[2.0, -3.0], [0.0, 0.5]])
 
 
 class TestL2Normalize:

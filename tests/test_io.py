@@ -510,6 +510,32 @@ def test_stack_check_finds_what_each_map_check_finds(tmp_path, rng):
     assert expected[0] is None and expected[4] is None and None not in expected[1:4]
 
 
+NON_FINITE = "feature map contains non-finite values"
+NEGATIVE = "rectified feature map has negative entries"
+
+
+@pytest.mark.parametrize("value, rectified, fault", [
+    (-0.0, True, None),
+    (-np.float32(1e-45), True, NEGATIVE),  # the smallest negative subnormal
+    (np.inf, False, NON_FINITE),
+    (np.inf, True, NON_FINITE),
+    (-np.inf, True, NON_FINITE),
+    (-1.0, False, None),
+    (-1.0, True, NEGATIVE),
+])
+def test_map_faults_of_one_entry(value, rectified, fault):
+    maps = np.ones((2, 2, 3, 4), dtype=np.float32)
+    maps[1, 1, 2, 0] = value
+    assert map_faults(maps, [True, rectified]) == [None, fault]
+
+
+def test_non_finite_is_found_ahead_of_negative():
+    maps = np.ones((1, 2, 3, 4), dtype=np.float32)
+    maps[0, 0, 0, 0] = -1.0
+    maps[0, 1, 2, 3] = np.nan
+    assert map_faults(maps, [True]) == [NON_FINITE]
+
+
 def toy_store(path, rng, n=4, dim=5):
     ids = [f"m{i}" for i in range(n)]
     descriptors = list(rng.standard_normal((n, dim)))

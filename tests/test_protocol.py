@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +13,8 @@ from conftest import read_metadata_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bilin import protocol
+from bilin.cli import main
 from bilin.encoder import encode
 from bilin.errors import ConfigError, MetadataError
 from bilin.io import load_feature_map
@@ -299,6 +305,9 @@ def tree_hash(root):
 
 SMALL = dict(num_identities=4, templates_per_identity=3, media_per_template=2,
              map_dims=(6, 6, 4), impostor_fraction=0.3, noise_sigma=0.1, seed=11)
+# the same config as `bilin synth` flags
+SYNTH_ARGV = ["--identities", "4", "--templates", "3", "--media", "2", "--map-dims", "6x6x4",
+              "--impostor-fraction", "0.3", "--noise-sigma", "0.1", "--seed", "11"]
 
 
 class TestSynthGenerate:
@@ -399,3 +408,149 @@ class TestSynthGenerate:
             SynthConfig(map_dims=(2**14, 2**7, 2**7 + 1)).validate()
         with pytest.raises(ConfigError, match="16385x16385 mixing matrix"):
             SynthConfig(map_dims=(1, 1, 2**14 + 1)).validate()
+
+
+def masked_render(rng, pattern, dims, noise_sigma):
+    """A map as the generator drew it before it rendered in place."""
+    h, w, c = dims
+    latent = rng.standard_normal((h * w, c)) @ pattern.T
+    if noise_sigma > 0:
+        latent = latent + noise_sigma * rng.standard_normal((h * w, c))
+    return np.maximum(latent, 0.0).reshape(h, w, c)
+
+
+@pytest.mark.parametrize("dims, sigma", [((6, 6, 4), 0.1), ((5, 7, 9), 0.0), ((3, 2, 16), 2.5)])
+def test_render_in_place_keeps_the_bits(dims, sigma):
+    pattern = protocol._identity_pattern(np.random.default_rng(3), dims[2])
+    got = protocol._render_map(np.random.default_rng(8), pattern, dims, sigma)
+    expected = masked_render(np.random.default_rng(8), pattern, dims, sigma)
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestThreadedSynth:
+    """Maps of SYNTH_THREAD_VALUES or more values are rendered and saved on
+    one thread per usable core; these tests move the line over tiny maps."""
+
+    @staticmethod
+    def run(monkeypatch, out, threaded, workers, argv=()):
+        """Run synth on SMALL's config, through `bilin synth` when given
+        its flags, checking that it leaves no thread behind; return the
+        names of the threads that wrote a map, and the exit code."""
+        monkeypatch.setattr(protocol, "SYNTH_THREAD_VALUES", 0 if threaded else 1 << 40)
+        monkeypatch.setattr(protocol, "usable_cores", lambda: workers)
+        write, writers = protocol._write_map, []
+
+        def recorded(*job):
+            writers.append(threading.current_thread().name)
+            write(*job)
+
+        monkeypatch.setattr(protocol, "_write_map", recorded)
+        threads = threading.active_count()
+        try:
+            if argv:
+                return writers, main(["synth", "--out", str(out), *argv])
+            synth_generate(SynthConfig(**SMALL), out)
+            return writers, 0
+        finally:
+            assert threading.active_count() == threads
+
+    def test_bytes_do_not_depend_on_the_path_or_the_workers(self, tmp_path, monkeypatch):
+        hashes = set()
+        for threaded in (False, True):
+            for workers in (1, 2):
+                out = tmp_path / f"{threaded}{workers}"
+                writers, _ = self.run(monkeypatch, out, threaded, workers)
+                assert len(writers) == 24
+                on_main = {name == threading.main_thread().name for name in writers}
+                assert on_main == {not threaded}
+                hashes.add(tree_hash(out))
+                assert sorted(p.name for p in out.iterdir()) == ["maps", "metadata.csv"]
+        assert len(hashes) == 1
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self, tmp_path,
+                                                                    monkeypatch):
+        self.run(monkeypatch, tmp_path / "serial", False, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.run(monkeypatch, tmp_path / "threaded", True, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert tree_hash(tmp_path / "threaded") == tree_hash(tmp_path / "serial")
+
+    @pytest.mark.parametrize("dims, threaded", [((16, 16, 32), True), ((16, 16, 31), False),
+                                                 ((2, 2, 2048), True), ((12, 12, 8), False)])
+    def test_the_line_is_on_the_values_of_a_map(self, tmp_path, monkeypatch, dims, threaded):
+        write, on_main = protocol._write_map, set()
+
+        def recorded(*job):
+            on_main.add(threading.current_thread() is threading.main_thread())
+            write(*job)
+
+        monkeypatch.setattr(protocol, "_write_map", recorded)
+        cfg = SynthConfig(num_identities=3, templates_per_identity=2, media_per_template=1,
+                          map_dims=dims, impostor_fraction=0.34)
+        synth_generate(cfg, tmp_path)
+        assert on_main == {not threaded}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_os_error_on_the_kth_map_exits_3(self, tmp_path, monkeypatch, capsys, workers):
+        # the fifth map and every one after it in metadata order fail
+        first_failed = "s01_id000_t02_m00.bfm"
+        save, saved = protocol.save_feature_map, []
+
+        def failing(path, values, rectified):
+            saved.append(path)
+            if path.name >= first_failed:
+                raise PermissionError(13, "Permission denied", str(path))
+            save(path, values, rectified=rectified)
+
+        monkeypatch.setattr(protocol, "save_feature_map", failing)
+        out = tmp_path / "d"
+        _, code = self.run(monkeypatch, out, True, workers, SYNTH_ARGV)
+        assert code == 3
+        # one line, naming the map a serial run fails on
+        assert capsys.readouterr().err.splitlines() == [
+            f"bilin: i/o error: [Errno 13] Permission denied: '{out / 'maps' / first_failed}'"]
+        assert len(saved) <= 4 + workers  # no map is taken after a failure is seen
+        assert sorted(p.name for p in out.iterdir()) == ["maps"]
+        assert len(list((out / "maps").iterdir())) == 4
+
+    def test_memory_error_on_a_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        failed_on = []
+
+        def out_of_memory(*args):
+            failed_on.append(threading.current_thread())
+            raise MemoryError
+
+        monkeypatch.setattr(protocol, "_render_map", out_of_memory)
+        _, code = self.run(monkeypatch, tmp_path / "d", True, 2, SYNTH_ARGV)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "bilin: config error: out of memory; use smaller inputs or options\n"
+        assert threading.main_thread() not in failed_on
+
+    def test_keyboard_interrupt_on_a_worker_propagates(self, tmp_path, monkeypatch):
+        render, rendered, lock = protocol._render_map, [], threading.Lock()
+
+        def interrupted(*args):
+            with lock:
+                rendered.append(threading.current_thread())
+                third = len(rendered) == 3
+            if third:
+                raise KeyboardInterrupt
+            return render(*args)
+
+        monkeypatch.setattr(protocol, "_render_map", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(monkeypatch, tmp_path / "d", True, 2)
+        assert threading.main_thread() not in rendered
+        assert not (tmp_path / "d" / "metadata.csv").exists()
+
+
+def test_cli_start_up_leaves_the_thread_pool_unimported():
+    code = "import sys, bilin.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "False\n"
