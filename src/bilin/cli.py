@@ -23,12 +23,12 @@ import json
 import math
 import os
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, protocol, svg
+from .cores import POOL_THREAD_MACS, Task, spare_core as _spare_core
 from .encoder import normalize_rows, pool_rows
 from .errors import (
     ConfigError,
@@ -55,15 +55,6 @@ from .svm import fit_ovr_svm
 # passes with a few times its size in peak memory.  Finetune's first
 # pass over its train maps reads them in the same chunks.
 ENCODE_CHUNK_BYTES = 1 << 18
-
-# Encode pools a chunk on a thread of its own only when its product
-# takes at least this many multiply-adds (n * H * W * C * C).  Below
-# it, starting, joining and handing the lock to a thread (about 0.1 ms
-# a chunk) cost about what the overlap saves, or more: at one BLAS
-# thread, 16x16x128 maps (4.2M a chunk) encoded no faster on a thread
-# and 12x12x128 (2.4M) 28 % slower; 14x14x256 (12.8M) 20 % faster.
-# A 27x27x512 map takes 191M, a chunk of 56 maps of 6x6x16 0.5M.
-POOL_THREAD_MACS = 1 << 23
 
 
 def config_defaults(stage, path):
@@ -182,43 +173,11 @@ def _report_failures(stage, failures, media, what="media"):
     return 3
 
 
-def _spare_core():
-    """Whether this process has a core to spare beside BLAS's threads:
-    more cores than OpenBLAS runs threads, which is OPENBLAS_NUM_THREADS,
-    else OMP_NUM_THREADS, else one per core, as OpenBLAS reads them."""
-    cores = protocol.usable_cores()
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return blas < cores
-    return False
-
-
-class _Product(threading.Thread):
+class _Product(Task):
     """:func:`pool_rows` of one float64 stack, on a thread of its own."""
 
     def __init__(self, maps):
-        super().__init__(name="bilin-encode-pool", daemon=True)
-        self._maps, self._rows = maps, None
-
-    def run(self):
-        try:
-            self._rows = pool_rows(self._maps)
-        except BaseException as exc:  # such as a MemoryError, for rows()
-            self._rows = exc
-        self._maps = None
-
-    def rows(self):
-        """The pooled rows, once the product is done; an exception on the
-        thread is raised again here, with its own type."""
-        self.join()
-        rows, self._rows = self._rows, None
-        if isinstance(rows, BaseException):
-            raise rows
-        return rows
+        super().__init__("bilin-encode-pool", pool_rows, maps)
 
 
 def _write_rows(store, pooled):
@@ -260,7 +219,7 @@ def cmd_encode(args):
             for _, maps, _ in MapReader().chunks(paths, _chunk_room, failures):
                 if failures or mixed_dims:
                     continue
-                pooled = product.rows() if product else None
+                pooled = product.result() if product else None
                 product, maps = None, maps.astype(np.float64)
                 if overlap and maps.size * maps.shape[-1] >= POOL_THREAD_MACS:
                     product = _Product(maps)
@@ -269,7 +228,7 @@ def cmd_encode(args):
                 else:
                     mixed_dims = _write_rows(store, pooled) or _write_rows(store, pool_rows(maps))
             if product and not (failures or mixed_dims):
-                mixed_dims = _write_rows(store, product.rows())
+                mixed_dims = _write_rows(store, product.result())
         finally:
             if product:  # a chunk started is pooled, whatever the exit
                 product.join()

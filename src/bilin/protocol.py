@@ -19,7 +19,6 @@ saved on one thread per usable core, with the same bytes as in turn.
 import csv
 import math
 import operator
-import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cores import usable_cores
 from .errors import ConfigError, MetadataError
 from .io import MAX_MAP_ELEMENTS, save_feature_map
 
@@ -323,13 +323,6 @@ def _run_in_threads(fn, jobs, workers):
             running.append(pool.submit(fn, *job))
         for future in running:
             future.result()
-
-
-def usable_cores():
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def synth_generate(cfg, out_dir):

@@ -37,6 +37,15 @@ store holds no copy of ``X`` at all.  :func:`train_ovr_svm` fills one
 float64 ``W`` from the same blocks.  With ``n >= dim`` the primal loop
 runs on ``X`` read as one block, and its ``W`` is the one block; the two
 agree to float64 rounding.
+
+No column of the primal loop reads another, so when BLAS leaves a core
+free (``bilin.cores.spare_core``) and the gallery is large, the loop runs
+on two contiguous parts of the identities at once: the second on a
+thread of its own, the first on the calling thread.  The cut lies at a
+multiple of PART_COLUMNS and each part takes POOL_THREAD_MACS or more a
+product, sizes at which BLAS computes each column with the same bits
+whatever the width, so the models are those of one loop.  The Gram form
+always runs in turn.
 """
 
 from collections.abc import Callable
@@ -44,6 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cores import POOL_THREAD_MACS, Task, spare_core
 from .errors import ConfigError, DegenerateModelError, ProtocolError, ShapeError
 
 # Columns of X read and cast to float64 at a time by the Gram form, and
@@ -51,6 +61,11 @@ from .errors import ConfigError, DegenerateModelError, ProtocolError, ShapeError
 # small, wide enough that each block's GEMM outweighs its Python and
 # read overhead.
 GRAM_BLOCK = 4096
+
+# The primal solve splits its identities in two only at a multiple of
+# this many, and leaves no part narrower: with fewer columns numpy takes
+# its matrix-vector path, whose last bits differ from the product's.
+PART_COLUMNS = 16
 
 
 @dataclass
@@ -149,6 +164,29 @@ def _subgradient_descent(X, Y, weighted, reg_c, epochs):
         W -= grad
         b -= (lam * b - coef.sum(axis=0) / n) / (lam * t)
     return W, b
+
+
+def _primal_descent(X, Y, weighted, reg_c, epochs):
+    """:func:`_subgradient_descent`'s ``(W, b)``.  When a core is spare and
+    each half of the identities takes POOL_THREAD_MACS or more a product,
+    the second half is solved on a thread of its own.  No column of the
+    recurrence reads another, and parts that large keep BLAS off the
+    kernels whose last bits follow the width, so the bits are those of
+    one solve."""
+    (n, dim), k = X.shape, Y.shape[1]
+    cut = PART_COLUMNS * ((k + PART_COLUMNS) // (2 * PART_COLUMNS))  # nearest k / 2
+    part = min(cut, k - cut)
+    if part < PART_COLUMNS or n * dim * part < POOL_THREAD_MACS or not spare_core():
+        return _subgradient_descent(X, Y, weighted, reg_c, epochs)
+    second = Task("bilin-svm-part", _subgradient_descent,
+                  X, Y[:, cut:], weighted[:, cut:], reg_c, epochs)
+    second.start()
+    try:
+        W, b = _subgradient_descent(X, Y[:, :cut], weighted[:, :cut], reg_c, epochs)
+        W2, b2 = second.result()
+    finally:
+        second.join()  # the second part ends before any exit
+    return np.concatenate((W, W2)), np.concatenate((b, b2))
 
 
 def _gram_descent(columns, dim, Y, weighted, reg_c, epochs):
@@ -255,7 +293,7 @@ def fit_ovr_svm(descriptors, labels, reg_c=1.0, epochs=100, balanced=False):
                                  for lo in range(0, dim, GRAM_BLOCK))
     else:
         X = columns(0, dim).astype(np.float64, copy=False)
-        W, b = _subgradient_descent(X, Y, weighted, reg_c, epochs)
+        W, b = _primal_descent(X, Y, weighted, reg_c, epochs)
         scores = X @ W.T
         scores += b
         column_blocks = lambda: iter((W,))

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -605,6 +606,28 @@ class TestSpareCore:
                             raising=False)
         assert cli._spare_core() is spare
 
+    @pytest.mark.parametrize("env, spare", [
+        ({"GOTO_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1x"}, True),
+        ({"OPENBLAS_NUM_THREADS": " +1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1_0"}, True),  # int() would read 10
+        ({"OPENBLAS_NUM_THREADS": "x1", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "\u0661"}, False),  # not an ASCII digit
+    ])
+    def test_spare_core_reads_the_variables_as_openblas_does(self, monkeypatch, env, spare):
+        """OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS, then
+        OMP_NUM_THREADS, each read as C's atoi reads it."""
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._spare_core() is spare
+
 
 class TestMetadata:
     @pytest.mark.parametrize("stage", ["encode", "train-gallery", "eval", "finetune"])
@@ -702,6 +725,101 @@ class TestTrainGallery:
                      "--out", str(models)]) == 2
         assert "split 1 has no gallery templates" in capsys.readouterr().err
         assert not models.exists()
+
+class TestTrainGallerySplit:
+    """train-gallery's primal solve with its second part of the identities
+    on a thread of its own: every exit joins it."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        # 32 enrolled identities of 2 media: two parts of 16 at dim 16
+        tmp = tmp_path_factory.mktemp("split")
+        data = synth(tmp, extra=("--identities", "34", "--templates", "2", "--media", "2",
+                                 "--map-dims", "3x3x4", "--impostor-fraction", "0.05"))
+        assert main(["encode", "--input", str(data), "--out", str(tmp / "desc")]) == 0
+        return data, tmp / "desc"
+
+    @pytest.fixture(autouse=True)
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(svm, "spare_core", lambda: True)
+        monkeypatch.setattr(svm, "POOL_THREAD_MACS", 0)
+
+    @staticmethod
+    def train(dataset, out, solve):
+        """train-gallery's exit code, with ``solve(on_thread, *args)`` in
+        place of each part's solve."""
+        data, desc = dataset
+        own = svm._subgradient_descent
+        on_thread = lambda *a: solve(threading.current_thread() is not threading.main_thread(),
+                                     own, *a)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "_subgradient_descent", on_thread)
+            return main(["train-gallery", "--data", str(data), "--descriptors", str(desc),
+                         "--out", str(out), "--epochs", "20"])
+
+    def test_out_of_memory_on_the_thread_exits_2(self, dataset, tmp_path, capsys):
+        def solve(on_thread, own, *args):
+            if on_thread:
+                raise MemoryError
+            return own(*args)
+
+        assert self.train(dataset, tmp_path / "m", solve) == 2
+        assert capsys.readouterr().err == (
+            "bilin: config error: out of memory; use smaller inputs or options\n")
+        assert not (tmp_path / "m").exists()
+
+    # the thread solves ids 16 to 31; negated, a part's models are degenerate
+    @pytest.mark.parametrize("negated, named", [((True,), "s01_id016"),
+                                                ((False, True), "s01_id000")])
+    def test_the_first_degenerate_identity_in_id_order_exits_4(self, dataset, tmp_path, capsys,
+                                                               negated, named):
+        def solve(on_thread, own, *args):
+            W, b = own(*args)
+            return (-W, -b) if on_thread in negated else (W, b)
+
+        assert self.train(dataset, tmp_path / "m", solve) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bilin: numeric failure: ") and f"for '{named}'" in err
+        assert err.count("\n") == 1 and not (tmp_path / "m").exists()
+
+    def test_split_gallery_has_the_bytes_of_one_solve(self, dataset, tmp_path, monkeypatch):
+        parts = []
+
+        def solve(on_thread, own, X, Y, *args):
+            parts.append((Y.shape[1], on_thread))
+            return own(X, Y, *args)
+
+        assert self.train(dataset, tmp_path / "split", solve) == 0
+        monkeypatch.setattr(svm, "spare_core", lambda: False)
+        assert self.train(dataset, tmp_path / "whole", solve) == 0
+        assert sorted(parts) == [(16, False), (16, True), (32, False)]
+        assert snapshot(tmp_path / "split").keys() == snapshot(tmp_path / "whole").keys()
+        split, whole = (tmp_path / n / "gallery_s01.bgm" for n in ("split", "whole"))
+        assert split.read_bytes() == whole.read_bytes()
+
+
+def test_gallery_bytes_at_one_and_two_blas_threads(tmp_path):
+    """128 identities of 4 media at dim 256: each half of the primal
+    solve takes exactly POOL_THREAD_MACS, so at one BLAS thread on two
+    or more cores it is solved on two threads, at two BLAS threads on two
+    cores in turn, and the gallery's bytes are the same."""
+    data = synth(tmp_path, extra=("--identities", "129", "--templates", "2", "--media", "4",
+                                  "--map-dims", "6x6x16", "--impostor-fraction", "0.005"))
+    assert main(["encode", "--input", str(data), "--out", str(tmp_path / "desc")]) == 0
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    galleries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"models{threads}"
+        subprocess.run([sys.executable, "-m", "bilin.cli", "train-gallery", "--data", str(data),
+                        "--descriptors", str(tmp_path / "desc"), "--out", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                       capture_output=True)
+        galleries.append((out / "gallery_s01.bgm").read_bytes())
+    assert len(load_gallery(tmp_path / "models1" / "gallery_s01.bgm").identity_ids) == 128
+    assert galleries[0] == galleries[1]
+
 
 class TestEval:
     def test_summary_shape_and_outputs(self, tmp_path):

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -296,6 +298,100 @@ class TestTrainOvr:
             own = np.array(labels) == ident
             assert np.median(scores[own, j]) == pytest.approx(1.0, abs=1e-9)
             assert np.median(scores[~own, j]) == pytest.approx(-1.0, abs=1e-9)
+
+
+def identity_blobs(n, dim, k, seed=0):
+    """``n`` float32 descriptors of dim ``dim`` around one center each of
+    ``k`` identities, dealt in turn, and their labels."""
+    rng = np.random.default_rng(seed)
+    labels = [f"id{i % k:03d}" for i in range(n)]
+    centers = rng.standard_normal((k, dim))
+    X = centers[np.arange(n) % k] + 0.5 * rng.standard_normal((n, dim))
+    return X.astype(np.float32), labels
+
+
+class TestPrimalSplit:
+    """With a core to spare, the primal solve runs the second part of the
+    identities on a thread of its own when each part is at least
+    PART_COLUMNS wide and takes POOL_THREAD_MACS or more a product; the
+    models keep every bit."""
+
+    @staticmethod
+    def record_parts(monkeypatch):
+        """(identities, on the main thread) of each solve, as it starts."""
+        parts, solve = [], svm._subgradient_descent
+
+        def recorded(X, Y, *args):
+            parts.append((Y.shape[1], threading.current_thread() is threading.main_thread()))
+            return solve(X, Y, *args)
+
+        monkeypatch.setattr(svm, "_subgradient_descent", recorded)
+        return parts
+
+    # (n, dim, k) and the parts of a split, if one is made: at the floor,
+    # just under it, the bench's many_ids shape, the narrowest parts and
+    # one part narrower than PART_COLUMNS
+    @pytest.mark.parametrize("n, dim, k, parts", [
+        (512, 256, 128, (64, 64)),
+        (510, 256, 128, None),
+        (600, 256, 150, (80, 70)),
+        (1024, 512, 32, (16, 16)),
+        (1024, 512, 31, None),
+    ])
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_split_keeps_every_bit(self, tmp_path, monkeypatch, n, dim, k, parts, balanced):
+        assert svm.POOL_THREAD_MACS == 1 << 23  # the floor the shapes straddle
+        X, labels = identity_blobs(n, dim, k)
+        kwargs = dict(reg_c=0.5, epochs=8, balanced=balanced)
+        runs, solved = {}, self.record_parts(monkeypatch)
+        for split in (True, False):
+            monkeypatch.setattr(svm, "spare_core", lambda: split)
+            gallery = train_ovr_svm(X, labels, **kwargs)
+            save_gallery(tmp_path / f"{split}.bgm", fit_ovr_svm(X, labels, **kwargs))
+            runs[split] = gallery, (tmp_path / f"{split}.bgm").read_bytes(), solved[:]
+            solved.clear()
+        (split, split_bytes, split_parts), (whole, whole_bytes, whole_parts) = runs.values()
+        assert whole_parts == [(k, True)] * 2
+        expected = [(parts[0], True), (parts[1], False)] if parts else [(k, True)]
+        assert sorted(split_parts) == sorted(expected * 2)
+        for field in ("w", "b", "rescale_a", "rescale_b"):
+            assert np.array_equal(getattr(split, field), getattr(whole, field)), field
+        assert split_bytes == whole_bytes
+
+    @pytest.fixture
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(svm, "spare_core", lambda: True)
+        monkeypatch.setattr(svm, "POOL_THREAD_MACS", 0)
+        return identity_blobs(40, 8, 32)  # two parts of 16
+
+    def test_interrupt_on_the_calling_thread_waits_for_the_other_part(self, monkeypatch,
+                                                                        split_on):
+        finished, solve = [], svm._subgradient_descent
+
+        def interrupted(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            finished.append(solve(*args))
+
+        monkeypatch.setattr(svm, "_subgradient_descent", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            fit_ovr_svm(*split_on)
+        assert len(finished) == 1  # the thread's part ran to its end first
+        assert threading.active_count() == threads
+
+    def test_the_threads_failure_is_raised_with_its_own_type(self, monkeypatch, split_on):
+        solve = svm._subgradient_descent
+
+        def out_of_memory(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError
+            return solve(*args)
+
+        monkeypatch.setattr(svm, "_subgradient_descent", out_of_memory)
+        with pytest.raises(MemoryError):
+            fit_ovr_svm(*split_on)
 
 
 def store_of(path, X):
